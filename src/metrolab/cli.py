@@ -9,8 +9,9 @@ A config is a JSON document {"scenario": ..., "params": {...},
 "output": ...}.  CLI flags override config fields.  Output is a CSV
 file with a "# schema=1" comment line, floats printed to 17 significant
 digits, UTF-8, LF line endings; identical config and seed reproduce the
-file byte for byte.  The environment variable METROLAB_MAX_DIM (default
-4096) caps the basis dimension a scenario may request.
+file byte for byte.  The environment variable METROLAB_MAX_DIM (a
+positive integer, default 4096) caps the basis dimension a scenario may
+request.  Non-finite numbers in the config are rejected.
 """
 
 from __future__ import annotations
@@ -67,10 +68,11 @@ class ScenarioConfig:
 
 def max_dim() -> int:
     raw = os.environ.get("METROLAB_MAX_DIM", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_DIM
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_DIM
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigError([f"METROLAB_MAX_DIM: expected a positive integer, got {raw!r}"])
+    return int(raw)
 
 
 def _fmt(value) -> str:
@@ -89,6 +91,13 @@ def _write_csv(path: str, header, rows) -> None:
 
 # ---------------------------------------------------------------------------
 # parameter validation
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError([f"non-finite number {text} is not allowed"])
+    return value
 
 
 def _want_int(params, name, errors, *, lo=None, hi=None, default=None):
@@ -385,7 +394,7 @@ SCENARIOS = {
 def validate_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON config, collecting every error found."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]

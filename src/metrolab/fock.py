@@ -14,7 +14,6 @@ eigendecompositions stay practical up to dimension ~4096.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -39,12 +38,13 @@ def _compositions(total: int, parts: int):
 class FockBasis:
     """Occupation-number basis with a total-photon cutoff.
 
-    ``dim == C(n_total + num_modes, num_modes)``.  ``rank`` and ``unrank``
-    are exact combinatorial inverses; no lookup table is required, though
-    :meth:`occupations` caches the full table for operator construction.
+    ``dim == C(n_total + num_modes, num_modes)``.  ``rank`` maps one
+    occupation vector, or a ``(k, num_modes)`` array of them, to indices in
+    closed form; ``unrank`` is its inverse and reads the cached
+    :meth:`occupations` table.
     """
 
-    __slots__ = ("num_modes", "n_total", "dim", "_offsets", "_occ_table")
+    __slots__ = ("num_modes", "n_total", "dim", "_offsets", "_occ_table", "_pascal_table")
 
     def __init__(self, num_modes: int, n_total: int):
         num_modes = int(num_modes)
@@ -61,6 +61,7 @@ class FockBasis:
         ]
         self.dim = self._offsets[-1]
         self._occ_table = None
+        self._pascal_table = None
 
     def __repr__(self) -> str:
         return f"FockBasis(num_modes={self.num_modes}, n_total={self.n_total})"
@@ -88,55 +89,61 @@ class FockBasis:
             raise ValueError(f"sector {s} outside 0..{self.n_total}")
         return slice(self._offsets[s], self._offsets[s + 1])
 
-    def _validated(self, occ: Sequence[int]) -> tuple:
-        occ = tuple(int(x) for x in occ)
-        if len(occ) != self.num_modes:
-            raise ValueError(
-                f"occupation has {len(occ)} modes, basis has {self.num_modes}"
-            )
-        if any(x < 0 for x in occ):
-            raise ValueError(f"negative occupation in {occ}")
-        if sum(occ) > self.n_total:
-            raise ValueError(f"total photons {sum(occ)} exceed cutoff {self.n_total}")
-        return occ
+    def _pascal(self) -> np.ndarray:
+        """Cached int64 table ``T[r, l] = C(r + l, l)``, r <= n_total, l <= num_modes.
 
-    def rank(self, occ: Sequence[int]) -> int:
-        """Index of an occupation vector in the graded-lex ordering."""
-        occ = self._validated(occ)
-        s = sum(occ)
-        index = self._offsets[s]
-        rem = s
+        ``T`` grows along both axes, so no entry exceeds ``T[-1, -1] == dim``.
+        """
+        if self._pascal_table is None:
+            if self.dim > np.iinfo(np.int64).max:
+                raise ValueError(f"basis dimension {self.dim} does not fit in int64")
+            self._pascal_table = np.array(
+                [[math.comb(r + l, l) for l in range(self.num_modes + 1)]
+                 for r in range(self.n_total + 1)],
+                dtype=np.int64,
+            )
+        return self._pascal_table
+
+    def rank(self, occ):
+        """Index of an occupation vector in the graded-lex ordering.
+
+        One vector gives an ``int``; a ``(k, num_modes)`` array gives ``k``
+        int64 indices.  With ``rem`` photons in modes ``j..`` and ``left``
+        modes after ``j``, mode ``j`` adds the hockey-stick sum
+        ``C(rem + left, left) - C(rem - occ[j] + left, left)`` to the
+        offset of its sector.
+        """
+        rows = np.asarray(occ, dtype=np.int64)
+        single = rows.ndim == 1
+        rows = rows.reshape(1, -1) if single else rows
+        width = rows.shape[-1] if rows.ndim else 0
+        if rows.ndim != 2 or width != self.num_modes:
+            raise ValueError(f"occupation has {width} modes, basis has {self.num_modes}")
+        negative = np.any(rows < 0, axis=1)
+        if np.any(negative):
+            raise ValueError(f"negative occupation in {rows[negative][0].tolist()}")
+        rem = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]  # rem[:, j] = sum(occ[j:])
+        total = rem[:, 0]
+        # entries above the cutoff are caught on their own: they could wrap the sums
+        over = (total > self.n_total) | np.any(rows > self.n_total, axis=1)
+        if np.any(over):
+            raise ValueError(
+                f"total photons in {rows[over][0].tolist()} exceed cutoff {self.n_total}"
+            )
+        table = self._pascal()
         m = self.num_modes
-        for k in range(m - 1):
-            left = m - k - 1
-            for t in range(occ[k]):
-                index += math.comb(rem - t + left - 1, left - 1)
-            rem -= occ[k]
-        return index
+        left = np.arange(m - 1, 0, -1)
+        # sector offset C(s + m - 1, m) = T[s, m] - T[s, m - 1] by Pascal's rule
+        index = table[total, m] - table[total, m - 1]
+        index += (table[rem[:, :-1], left] - table[rem[:, 1:], left]).sum(axis=1)
+        return int(index[0]) if single else index
 
     def unrank(self, index: int) -> tuple:
         """Occupation vector at a given index; inverse of :meth:`rank`."""
         index = int(index)
         if not 0 <= index < self.dim:
             raise ValueError(f"index {index} outside 0..{self.dim - 1}")
-        s = bisect_right(self._offsets, index) - 1
-        r = index - self._offsets[s]
-        occ = []
-        rem = s
-        m = self.num_modes
-        for k in range(m - 1):
-            left = m - k - 1
-            t = 0
-            while True:
-                block = math.comb(rem - t + left - 1, left - 1)
-                if r < block:
-                    break
-                r -= block
-                t += 1
-            occ.append(t)
-            rem -= t
-        occ.append(rem)
-        return tuple(occ)
+        return tuple(self.occupations()[index].tolist())
 
     def occupations(self) -> np.ndarray:
         """All occupation vectors as a read-only (dim, num_modes) int array."""
@@ -213,8 +220,7 @@ class PureState:
             raise ValueError("expand_cutoff cannot shrink the cutoff")
         target = build_basis(self.basis.num_modes, n_total)
         amp = np.zeros(target.dim, dtype=complex)
-        for k in np.nonzero(self.amplitudes)[0]:
-            amp[target.rank(self.basis.unrank(int(k)))] = self.amplitudes[k]
+        amp[target.rank(self.basis.occupations())] = self.amplitudes
         return PureState(target, amp)
 
 
@@ -327,9 +333,8 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
 
     reduced = build_basis(len(keep), basis.n_total)
     occ = basis.occupations()
-    kept_rank = np.array([reduced.rank(row) for row in occ[:, keep]])
-    traced_basis = build_basis(len(traced), basis.n_total)
-    traced_key = np.array([traced_basis.rank(row) for row in occ[:, traced]])
+    kept_rank = reduced.rank(occ[:, keep])
+    traced_key = build_basis(len(traced), basis.n_total).rank(occ[:, traced])
 
     out = np.zeros((reduced.dim, reduced.dim), dtype=complex)
     if isinstance(state, PureState):

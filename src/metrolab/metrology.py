@@ -148,14 +148,6 @@ def qfi_mixed(
     return _report(qfi, generator.label, nu)
 
 
-def _coeff_moments(c: np.ndarray):
-    n = np.arange(len(c), dtype=float)
-    probs = np.abs(c) ** 2
-    nbar = float(probs @ n)
-    n2bar = float(probs @ n**2)
-    return n, nbar, n2bar
-
-
 def jn_variance_closed_form(
     coeffs: Sequence[complex], n_total: int, beta: float, phi: float
 ) -> float:
@@ -169,7 +161,10 @@ def jn_variance_closed_form(
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.shape != (n_total + 1,):
         raise ValueError(f"expected {n_total + 1} coefficients, got {c.shape}")
-    n, nbar, n2bar = _coeff_moments(c)
+    n = np.arange(len(c), dtype=float)
+    probs = np.abs(c) ** 2
+    nbar = float(probs @ n)
+    n2bar = float(probs @ n**2)
     var_n = n2bar - nbar**2
     sin_b, cos_b = math.sin(beta), math.cos(beta)
 
@@ -205,29 +200,7 @@ def jy_variance_closed_form(coeffs: Sequence[complex], n_total: int) -> float:
     limit: Var(J_y)/N converges to the momentum-quadrature variance of
     the mode-0 profile.
     """
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.shape != (n_total + 1,):
-        raise ValueError(f"expected {n_total + 1} coefficients, got {c.shape}")
-    n, nbar, n2bar = _coeff_moments(c)
-
-    n1 = n[:-1]
-    w1 = np.sqrt((n1 + 1.0) * (n_total - n1))
-    first = float(np.sum(np.real(-1j * c[:-1] * np.conj(c[1:])) * w1))
-
-    second = 0.0
-    if n_total >= 2:
-        n2 = n[:-2]
-        w2 = np.sqrt(
-            (n_total - n2) * (n_total - n2 - 1.0) * (n2 + 1.0) * (n2 + 2.0)
-        )
-        second = float(np.sum(np.real(c[:-2] * np.conj(c[2:])) * w2))
-
-    return (
-        n_total / 4.0
-        + 0.5 * (n_total * nbar - n2bar)
-        - first**2
-        - 0.5 * second
-    )
+    return jn_variance_closed_form(coeffs, n_total, math.pi / 2, math.pi / 2)
 
 
 def displacement_bound(state: State, nu: int = 1, tail_tol: float = 1e-10) -> float:

@@ -148,12 +148,11 @@ def annihilation(basis: FockBasis, mode: int) -> np.ndarray:
     """Matrix of a_mode: removes a photon with amplitude sqrt(n)."""
     mode = _check_mode(basis, mode)
     occ = basis.occupations()
+    cols = np.nonzero(occ[:, mode] > 0)[0]
+    target = occ[cols]
+    target[:, mode] -= 1
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for col in np.nonzero(occ[:, mode] > 0)[0]:
-        target = list(occ[col])
-        n = target[mode]
-        target[mode] = n - 1
-        mat[basis.rank(target), col] = math.sqrt(n)
+    mat[basis.rank(target), cols] = np.sqrt(occ[cols, mode])
     return mat
 
 
@@ -165,13 +164,13 @@ def creation(basis: FockBasis, mode: int) -> np.ndarray:
 def _hopping(basis: FockBasis, i: int, j: int) -> np.ndarray:
     """Matrix of ai† aj (i != j); conserves total photon number."""
     occ = basis.occupations()
+    cols = np.nonzero(occ[:, j] > 0)[0]
+    target = occ[cols]
+    amp = np.sqrt((target[:, i] + 1) * target[:, j])
+    target[:, i] += 1
+    target[:, j] -= 1
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for col in np.nonzero(occ[:, j] > 0)[0]:
-        target = list(occ[col])
-        amp = math.sqrt((target[i] + 1) * target[j])
-        target[i] += 1
-        target[j] -= 1
-        mat[basis.rank(target), col] = amp
+    mat[basis.rank(target), cols] = amp
     return mat
 
 

@@ -143,9 +143,9 @@ def correlated_three_mode(coeffs: Sequence[complex], n_total: int) -> PureState:
     """
     c = _checked_profile(coeffs, n_total // 2 + 1)
     basis = build_basis(3, n_total)
+    n = np.arange(c.size)
     amp = np.zeros(basis.dim, dtype=complex)
-    for n, cn in enumerate(c):
-        amp[basis.rank((n, n, n_total - 2 * n))] = cn
+    amp[basis.rank(np.column_stack([n, n, n_total - 2 * n]))] = c
     return PureState(basis, amp, normalize=True)
 
 
@@ -180,12 +180,10 @@ def general_probe(
         raise ValueError("env_occupation must be >= 0")
 
     basis = build_basis(4, n_total + env_occupation)
+    n1, n2 = np.nonzero(c)
+    occ = np.column_stack([n1, n2, n_total - n1 - n2, np.full_like(n1, env_occupation)])
     amp = np.zeros(basis.dim, dtype=complex)
-    for n1 in range(n_total + 1):
-        for n2 in range(n_total + 1 - n1):
-            if c[n1, n2] != 0:
-                occ = (n1, n2, n_total - n1 - n2, env_occupation)
-                amp[basis.rank(occ)] = c[n1, n2]
+    amp[basis.rank(occ)] = c[n1, n2]
     state = PureState(basis, amp, normalize=True)
     for pair, angle in gates:
         state = rotation_unitary(basis, pair, angle).apply(state)

@@ -77,10 +77,13 @@ class TestValidateConfig:
     def test_dim_cap_env_override(self, monkeypatch):
         doc = {"scenario": "lossy-sweep", "params": {"n_total": 12}}
         validate_config(json.dumps(doc))  # C(16,4) = 1820 fits the default cap
-        monkeypatch.setenv("METROLAB_MAX_DIM", "100")
-        with pytest.raises(ConfigError) as err:
-            validate_config(json.dumps(doc))
-        assert any("METROLAB_MAX_DIM" in line for line in err.value.errors)
+        for raw in ("100", "lots", "-5", "0"):
+            monkeypatch.setenv("METROLAB_MAX_DIM", raw)
+            with pytest.raises(ConfigError) as err:
+                validate_config(json.dumps(doc))
+            assert any("METROLAB_MAX_DIM" in line for line in err.value.errors)
+        monkeypatch.setenv("METROLAB_MAX_DIM", "2000")
+        validate_config(json.dumps(doc))
 
     def test_bad_seed_rejected(self):
         doc = {"scenario": "noon-scaling", "params": {"seed": -3}}
@@ -219,6 +222,41 @@ class TestMain:
         config_path = write_config(tmp_path, {"scenario": "nope"})
         assert main(["validate", "--config", str(config_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_infinite_coeff_exits_2_without_output(self, tmp_path, capsys):
+        config_path = tmp_path / "inf.json"
+        config_path.write_text(
+            '{"scenario": "zeta-optimize", "params": {"coeffs": [Infinity, 1, 0, 0, 0]}}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "inf.csv"
+        assert main(["run", "--config", str(config_path), "--output", str(out)]) == 2
+        assert "Infinity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_nan_alpha_exits_2(self, tmp_path, capsys, command):
+        config_path = tmp_path / "nan.json"
+        config_path.write_text(
+            '{"scenario": "cv-convergence", "params": {"alpha": NaN}}', encoding="utf-8"
+        )
+        out = tmp_path / "nan.csv"
+        argv = [command, "--config", str(config_path)]
+        assert main(argv + (["--output", str(out)] if command == "run" else [])) == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["-Infinity", "1e999"])
+    def test_other_non_finite_numbers_rejected(self, literal):
+        with pytest.raises(ConfigError) as err:
+            validate_config('{"scenario": "cv-convergence", "params": {"alpha": %s}}' % literal)
+        assert literal in err.value.errors[0]
+
+    def test_bad_dim_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("METROLAB_MAX_DIM", "lots")
+        config_path = write_config(tmp_path, {"scenario": "noon-scaling"})
+        assert main(["validate", "--config", str(config_path)]) == 2
+        assert "METROLAB_MAX_DIM" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metrolab import (
     FockBasis,
@@ -27,6 +29,37 @@ def brute_force_dim(num_modes, n_total):
         for occ in itertools.product(range(n_total + 1), repeat=num_modes)
         if sum(occ) <= n_total
     )
+
+
+def loop_rank(basis, occ):
+    """Reference rank: one binomial term per photon, as a plain loop."""
+    occ = tuple(int(x) for x in occ)
+    m = basis.num_modes
+    rem = sum(occ)
+    index = math.comb(rem + m - 1, m)
+    for k in range(m - 1):
+        left = m - k - 1
+        for t in range(occ[k]):
+            index += math.comb(rem - t + left - 1, left - 1)
+        rem -= occ[k]
+    return index
+
+
+bases = st.builds(build_basis, st.integers(1, 5), st.integers(0, 12))
+
+
+@st.composite
+def basis_and_rows(draw, min_rows=0):
+    """A basis plus a (k, num_modes) array of valid occupation vectors."""
+    basis = draw(bases)
+    rows = []
+    for _ in range(draw(st.integers(min_rows, 20))):
+        rem, row = basis.n_total, []
+        for _ in range(basis.num_modes):
+            row.append(draw(st.integers(0, rem)))
+            rem -= row[-1]
+        rows.append(draw(st.permutations(row)))
+    return basis, np.array(rows, dtype=np.int64).reshape(-1, basis.num_modes)
 
 
 def random_pure(rng, basis):
@@ -83,6 +116,59 @@ class TestBasis:
             basis.rank((2, 2))
         with pytest.raises(ValueError):
             basis.rank((-1, 1))
+        with pytest.raises(ValueError, match="exceed"):
+            build_basis(3, 4).rank((2**63 - 1, 2**63 - 1, 2))  # int64 sum wraps to 0
+
+    @given(basis_and_rows())
+    def test_array_rank_matches_loop_reference(self, case):
+        basis, rows = case
+        expected = [loop_rank(basis, row) for row in rows]
+        ranks = basis.rank(rows)
+        assert ranks.dtype == np.int64 and ranks.shape == (len(rows),)
+        assert ranks.tolist() == expected
+        for row, index in zip(rows.tolist(), expected):
+            single = basis.rank(row)
+            assert type(single) is int and single == index
+
+    @given(bases)
+    def test_rank_of_occupation_table_is_arange(self, basis):
+        assert np.array_equal(basis.rank(basis.occupations()), np.arange(basis.dim))
+
+    @given(basis_and_rows())
+    def test_unrank_inverts_rank(self, case):
+        basis, rows = case
+        for row, index in zip(rows.tolist(), basis.rank(rows).tolist()):
+            assert basis.unrank(index) == tuple(row)
+
+    @given(basis_and_rows(min_rows=1), st.data())
+    def test_array_rank_rejects_invalid_rows(self, case, data):
+        basis, rows = case
+        k = data.draw(st.integers(0, len(rows) - 1))
+        mode = data.draw(st.integers(0, basis.num_modes - 1))
+        with pytest.raises(ValueError, match="modes"):
+            basis.rank(np.hstack([rows, np.zeros((len(rows), 1), dtype=np.int64)]))
+        negative = rows.copy()
+        negative[k, mode] = -1
+        with pytest.raises(ValueError, match="negative"):
+            basis.rank(negative)
+        overfull = rows.copy()
+        overfull[k, mode] += basis.n_total + 1
+        with pytest.raises(ValueError, match="exceed"):
+            basis.rank(overfull)
+
+    def test_rank_exact_just_below_int64(self):
+        basis = FockBasis(18, 76)
+        assert 0.97 * 2**63 < basis.dim < 2**63
+        assert basis.rank((76,) + (0,) * 17) == basis.dim - 1
+        assert basis.rank((0,) * 17 + (76,)) == math.comb(93, 18)
+
+    def test_rank_refuses_dim_beyond_int64(self):
+        basis = FockBasis(40, 60)
+        assert basis.dim >= 2**63
+        with pytest.raises(ValueError, match="int64"):
+            basis.rank((0,) * 40)
+        with pytest.raises(ValueError, match="int64"):
+            basis.rank(np.zeros((3, 40), dtype=np.int64))
 
     @pytest.mark.parametrize("num_modes,n_total", [(1, 7), (2, 9), (3, 5), (5, 4)])
     def test_sector_dims_sum_to_dim(self, num_modes, n_total):

@@ -24,10 +24,35 @@ from metrolab import (
     variance,
     weighted_number,
 )
+from metrolab.operators import _hopping
 
 X_AXIS = dict(beta=math.pi / 2, phi=0.0)
 Y_AXIS = dict(beta=math.pi / 2, phi=math.pi / 2)
 Z_AXIS = dict(beta=0.0, phi=0.0)
+LADDER_BASES = [(1, 6), (2, 5), (3, 4), (4, 3), (5, 2)]
+
+
+def loop_annihilation(basis, mode):
+    """Reference a_mode built one column at a time."""
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for col, occ in enumerate(basis.occupations().tolist()):
+        if occ[mode] > 0:
+            target = list(occ)
+            target[mode] -= 1
+            mat[basis.rank(target), col] = math.sqrt(occ[mode])
+    return mat
+
+
+def loop_hopping(basis, i, j):
+    """Reference ai† aj built one column at a time."""
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for col, occ in enumerate(basis.occupations().tolist()):
+        if occ[j] > 0:
+            target = list(occ)
+            target[i] += 1
+            target[j] -= 1
+            mat[basis.rank(target), col] = math.sqrt((occ[i] + 1) * occ[j])
+    return mat
 
 
 class TestPairAxis:
@@ -65,6 +90,20 @@ class TestLadder:
         assert np.isclose(out[basis.rank((2, 2))], math.sqrt(3))
         # vacuum annihilated
         assert np.allclose(a0 @ basis.basis_state((0, 0)).amplitudes, 0.0)
+
+    @pytest.mark.parametrize("num_modes,n_total", LADDER_BASES)
+    def test_annihilation_matches_loop_reference(self, num_modes, n_total):
+        basis = build_basis(num_modes, n_total)
+        for mode in range(num_modes):
+            assert np.array_equal(annihilation(basis, mode), loop_annihilation(basis, mode))
+
+    @pytest.mark.parametrize("num_modes,n_total", LADDER_BASES[1:])
+    def test_hopping_matches_loop_reference(self, num_modes, n_total):
+        basis = build_basis(num_modes, n_total)
+        for i in range(num_modes):
+            for j in range(num_modes):
+                if i != j:
+                    assert np.array_equal(_hopping(basis, i, j), loop_hopping(basis, i, j))
 
     def test_creation_is_adjoint(self):
         basis = build_basis(2, 3)
