@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import fidelity
+from .fock import NORM_ATOL, fidelity
 from .operators import PairAxis, number_op, schwinger_j
 from .states import (
     coherent_cutoff,
@@ -100,74 +100,51 @@ def _finite(text: str) -> float:
     return value
 
 
-def _want_int(params, name, errors, *, lo=None, hi=None, default=None):
-    value = params.get(name, default)
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise ConfigError([f"integer literal with {len(text)} digits is not allowed"]) from exc
+
+
+def _checked(params, name, spec, errors):
+    """params[name] checked against spec, or None after recording why not.
+
+    A spec (kind, lo, hi, default), kind int or float, asks for a kind
+    with lo <= value <= hi, or a non-empty list of them when the default
+    is a list.  A tuple of strings is a choice; its first entry is the
+    default.  An absent or null parameter takes the default.  Bounds are
+    compared before float() is called, so an integer too large for a
+    float is out of range, not an overflow.
+    """
+    value = params.get(name)
+    if isinstance(spec[0], str):
+        if value is None:
+            return spec[0]
+        if value in spec:
+            return value
+        choices = ", ".join(map(repr, spec))
+        errors.append(f"params.{name}: expected one of {choices}, got {value!r}")
+        return None
+    kind, lo, hi, default = spec
+    listed = isinstance(default, list)
+    types, noun = ((int, float), "a number") if kind is float else (int, "an integer")
     if value is None:
-        errors.append(f"params.{name}: required")
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"params.{name}: expected an integer, got {value!r}")
-        return None
-    if lo is not None and value < lo:
-        errors.append(f"params.{name}: must be >= {lo}, got {value}")
-        return None
-    if hi is not None and value > hi:
-        errors.append(f"params.{name}: must be <= {hi}, got {value}")
-        return None
-    return value
-
-
-def _want_number(params, name, errors, *, lo=None, hi=None, default=None):
-    value = params.get(name, default)
-    if value is None:
-        errors.append(f"params.{name}: required")
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"params.{name}: expected a number, got {value!r}")
-        return None
-    value = float(value)
-    if lo is not None and value < lo:
-        errors.append(f"params.{name}: must be >= {lo}, got {value}")
-        return None
-    if hi is not None and value > hi:
-        errors.append(f"params.{name}: must be <= {hi}, got {value}")
-        return None
-    return value
-
-
-def _want_int_list(params, name, errors, *, lo, hi, default):
-    values = params.get(name, list(default))
-    if not isinstance(values, list) or not values:
+        return list(default) if listed else default
+    if listed and (not isinstance(value, list) or not value):
         errors.append(f"params.{name}: expected a non-empty list")
         return None
     out = []
-    for k, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"params.{name}[{k}]: expected an integer, got {value!r}")
+    for k, item in enumerate(value if listed else [value]):
+        where = f"params.{name}[{k}]" if listed else f"params.{name}"
+        if isinstance(item, bool) or not isinstance(item, types):
+            errors.append(f"{where}: expected {noun}, got {item!r}")
             return None
-        if not lo <= value <= hi:
-            errors.append(f"params.{name}[{k}]: {value} outside {lo}..{hi}")
+        if not lo <= item <= hi:
+            errors.append(f"{where}: must be in [{lo}, {hi}], got {item}")
             return None
-        out.append(value)
-    return out
-
-
-def _want_number_list(params, name, errors, *, lo, hi, default):
-    values = params.get(name, list(default))
-    if not isinstance(values, list) or not values:
-        errors.append(f"params.{name}: expected a non-empty list")
-        return None
-    out = []
-    for k, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"params.{name}[{k}]: expected a number, got {value!r}")
-            return None
-        value = float(value)
-        if not lo <= value <= hi:
-            errors.append(f"params.{name}[{k}]: {value} outside [{lo}, {hi}]")
-            return None
-        out.append(value)
-    return out
+        out.append(kind(item))
+    return out if listed else out[0]
 
 
 def _check_dim(num_modes: int, n_total: int, errors) -> None:
@@ -180,13 +157,8 @@ def _check_dim(num_modes: int, n_total: int, errors) -> None:
         )
 
 
-def _check_unknown(params, known, errors) -> None:
-    for name in sorted(set(params) - set(known) - {"seed"}):
-        errors.append(f"params.{name}: unknown parameter")
-
-
 # ---------------------------------------------------------------------------
-# scenarios
+# scenarios: each one's runner, and its checks that span several parameters
 
 
 def _run_noon_scaling(params, rng):
@@ -199,10 +171,7 @@ def _run_noon_scaling(params, rng):
 
 
 def _validate_noon_scaling(params, errors):
-    values = _want_int_list(params, "n_values", errors, lo=1, hi=MAX_N, default=range(1, 9))
-    if values:
-        _check_dim(2, max(values), errors)
-    return {"n_values": values}
+    _check_dim(2, max(params["n_values"]), errors)
 
 
 def _run_cat_vs_noon(params, rng):
@@ -223,10 +192,7 @@ def _run_cat_vs_noon(params, rng):
 
 
 def _validate_cat_vs_noon(params, errors):
-    alphas = _want_number_list(params, "alphas", errors, lo=0.1, hi=6.0, default=(1.0, 2.0, 3.0))
-    if alphas:
-        _check_dim(1, coherent_cutoff(max(alphas)), errors)
-    return {"alphas": alphas}
+    _check_dim(1, coherent_cutoff(max(params["alphas"])), errors)
 
 
 def _run_cv_convergence(params, rng):
@@ -241,22 +207,19 @@ def _run_cv_convergence(params, rng):
 
 
 def _validate_cv_convergence(params, errors):
-    alpha = _want_number(params, "alpha", errors, lo=0.1, hi=4.0, default=1.0)
-    values = _want_int_list(params, "n_values", errors, lo=1, hi=400, default=(10, 40, 160))
-    if alpha is not None and values:
-        if alpha * alpha > min(values):
-            errors.append(
-                f"params.alpha: alpha^2 = {alpha * alpha:.6g} exceeds the smallest "
-                f"n_value {min(values)}; sin(theta/2) would leave [0, 1]"
-            )
-    return {"alpha": alpha, "n_values": values}
+    alpha, smallest = params["alpha"], min(params["n_values"])
+    if alpha * alpha > smallest:
+        errors.append(
+            f"params.alpha: alpha^2 = {alpha * alpha:.6g} exceeds the smallest "
+            f"n_value {smallest}; sin(theta/2) would leave [0, 1]"
+        )
 
 
 def _run_zeta_optimize(params, rng):
     n_total = params["n_total"]
     coeffs = params.get("coeffs")
     size = n_total // 2 + 1
-    if coeffs is None:
+    if not coeffs:
         raw = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     else:
         raw = np.asarray(coeffs, dtype=complex)
@@ -274,23 +237,21 @@ def _run_zeta_optimize(params, rng):
 
 
 def _validate_zeta_optimize(params, errors):
-    n_total = _want_int(params, "n_total", errors, lo=1, hi=MAX_N, default=8)
-    grid_points = _want_int(params, "grid_points", errors, lo=1, hi=100_000, default=64)
-    out = {"n_total": n_total, "grid_points": grid_points}
-    if n_total is not None:
-        _check_dim(3, n_total, errors)
-        coeffs = params.get("coeffs")
-        if coeffs is not None:
-            size = n_total // 2 + 1
-            if not isinstance(coeffs, list) or len(coeffs) != size:
-                errors.append(f"params.coeffs: expected a list of {size} numbers")
-            elif not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in coeffs):
-                errors.append("params.coeffs: entries must be real numbers")
-            elif not any(v != 0 for v in coeffs):
-                errors.append("params.coeffs: must not be all zero")
-            else:
-                out["coeffs"] = [float(v) for v in coeffs]
-    return out
+    n_total, coeffs = params["n_total"], params["coeffs"]
+    _check_dim(3, n_total, errors)
+    if not coeffs:
+        return
+    size = n_total // 2 + 1
+    if len(coeffs) != size:
+        errors.append(f"params.coeffs: expected a list of {size} numbers")
+        return
+    raw = np.asarray(coeffs, dtype=complex)
+    with np.errstate(all="ignore"):  # the runner's normalization must give a unit vector
+        unit = raw / np.linalg.norm(raw)
+    if not abs(np.linalg.norm(unit) - 1.0) <= NORM_ATOL:
+        errors.append(
+            "params.coeffs: cannot be normalized (all zero, or the norm under- or overflows)"
+        )
 
 
 def _run_lossy_sweep(params, rng):
@@ -313,18 +274,7 @@ def _run_lossy_sweep(params, rng):
 
 
 def _validate_lossy_sweep(params, errors):
-    n_total = _want_int(params, "n_total", errors, lo=1, hi=MAX_N, default=3)
-    probe_mode = _want_int(params, "probe_mode", errors, lo=0, hi=2, default=0)
-    kappas = _want_number_list(
-        params, "kappas", errors, lo=0.0, hi=math.pi,
-        default=[k * math.pi / 16 for k in range(9)],
-    )
-    probe = params.get("probe", "noon")
-    if probe not in ("noon", "correlated"):
-        errors.append(f"params.probe: expected 'noon' or 'correlated', got {probe!r}")
-    if n_total is not None:
-        _check_dim(4, n_total, errors)
-    return {"n_total": n_total, "probe_mode": probe_mode, "kappas": kappas, "probe": probe}
+    _check_dim(4, params["n_total"], errors)
 
 
 def _run_variance_oracle(params, rng):
@@ -344,48 +294,58 @@ def _run_variance_oracle(params, rng):
 
 
 def _validate_variance_oracle(params, errors):
-    num_cases = _want_int(params, "num_cases", errors, lo=1, hi=10_000, default=200)
-    n_max = _want_int(params, "n_max", errors, lo=1, hi=MAX_N, default=30)
-    if n_max is not None:
-        _check_dim(2, n_max, errors)
-    return {"num_cases": num_cases, "n_max": n_max}
+    _check_dim(2, params["n_max"], errors)
 
 
+_SEED_SPEC = (int, 0, math.inf, DEFAULT_SEED)
+
+# name: (runner, {parameter: spec}, cross-parameter checks, description);
+# every scenario also takes "seed" (_SEED_SPEC).
 SCENARIOS = {
     "noon-scaling": (
         _run_noon_scaling,
+        {"n_values": (int, 1, MAX_N, list(range(1, 9)))},
         _validate_noon_scaling,
-        ("n_values",),
         "QFI of NOON probes under Jz; exhibits the N^2 scaling",
     ),
     "cat-vs-noon": (
         _run_cat_vs_noon,
+        {"alphas": (float, 0.1, 6.0, [1.0, 2.0, 3.0])},
         _validate_cat_vs_noon,
-        ("alphas",),
         "cat-state QFI under the number operator next to the matched NOON value",
     ),
     "cv-convergence": (
         _run_cv_convergence,
+        {"alpha": (float, 0.1, 4.0, 1.0), "n_values": (int, 1, 400, [10, 40, 160])},
         _validate_cv_convergence,
-        ("alpha", "n_values"),
         "infidelity of the rotated Fock probe against a reference-embedded coherent state",
     ),
     "zeta-optimize": (
         _run_zeta_optimize,
+        {
+            "n_total": (int, 1, MAX_N, 8),
+            "grid_points": (int, 1, 100_000, 64),
+            # empty: the coefficients are drawn from the seed
+            "coeffs": (float, -sys.float_info.max, sys.float_info.max, []),
+        },
         _validate_zeta_optimize,
-        ("n_total", "grid_points", "coeffs"),
         "closed-form optimal weight angle plus an operator-route sweep",
     ),
     "lossy-sweep": (
         _run_lossy_sweep,
+        {
+            "n_total": (int, 1, MAX_N, 3),
+            "probe": ("noon", "correlated"),
+            "probe_mode": (int, 0, 2, 0),
+            "kappas": (float, 0.0, math.pi, [k * math.pi / 16 for k in range(9)]),
+        },
         _validate_lossy_sweep,
-        ("n_total", "probe", "probe_mode", "kappas"),
         "mixed-state QFI of a four-mode probe after environment coupling, per kappa",
     ),
     "variance-oracle": (
         _run_variance_oracle,
+        {"num_cases": (int, 1, 10_000, 200), "n_max": (int, 1, MAX_N, 30)},
         _validate_variance_oracle,
-        ("num_cases", "n_max"),
         "closed-form J_n variance against the operator computation on random states",
     ),
 }
@@ -394,7 +354,7 @@ SCENARIOS = {
 def validate_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON config, collecting every error found."""
     try:
-        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        doc = json.loads(text, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -424,14 +384,13 @@ def validate_config(text: str) -> ScenarioConfig:
     for key in sorted(set(doc) - {"scenario", "params", "output"}):
         errors.append(f"{key}: unknown config field")
 
-    _, validator, known, _ = SCENARIOS[scenario]
-    _check_unknown(params, known, errors)
-    cleaned = validator(params, errors)
-    seed = params.get("seed", DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        errors.append(f"params.seed: expected a non-negative integer, got {seed!r}")
-    else:
-        cleaned["seed"] = seed
+    _, specs, validator, _ = SCENARIOS[scenario]
+    specs = {**specs, "seed": _SEED_SPEC}
+    for name in sorted(set(params) - set(specs)):
+        errors.append(f"params.{name}: unknown parameter")
+    cleaned = {name: _checked(params, name, spec, errors) for name, spec in specs.items()}
+    if None not in cleaned.values():
+        validator(cleaned, errors)
 
     if errors:
         raise ConfigError(errors)
@@ -475,9 +434,9 @@ def main(argv=None) -> int:
 
     if args.command == "list-scenarios":
         for name in sorted(SCENARIOS):
-            _, _, known, description = SCENARIOS[name]
+            _, specs, _, description = SCENARIOS[name]
             print(f"{name}: {description}")
-            print(f"    params: {', '.join(known)}, seed")
+            print(f"    params: {', '.join(specs)}, seed")
         return 0
 
     try:

@@ -182,10 +182,10 @@ class PureState:
             )
         nrm = float(np.linalg.norm(amp))
         if normalize:
-            if nrm < 1e-300:
-                raise ValueError("cannot normalize a zero state")
+            if not 1e-300 <= nrm < math.inf:
+                raise ValueError(f"cannot normalize a state of norm {nrm}")
             amp /= nrm
-        elif abs(nrm - 1.0) > NORM_ATOL:
+        elif not abs(nrm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state norm {nrm} is not 1 within {NORM_ATOL}")
         amp.setflags(write=False)
         self.basis = basis
@@ -241,10 +241,10 @@ class MixedState:
             raise ValueError(
                 f"matrix has shape {mat.shape}, basis dim is {basis.dim}"
             )
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_ATOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within {TRACE_ATOL}")
         if check_psd and float(np.linalg.eigvalsh(mat)[0]) < PSD_EIGENVALUE_FLOOR:
             raise ValueError("density matrix has an eigenvalue below -1e-10")

@@ -65,12 +65,12 @@ class Povm:
         for k, e in enumerate(elems):
             if e.shape != (dim, dim):
                 raise ValueError(f"element {k} has shape {e.shape}, expected ({dim},{dim})")
-            if np.max(np.abs(e - e.conj().T)) > POVM_ATOL:
+            if not np.max(np.abs(e - e.conj().T)) <= POVM_ATOL:
                 raise ValueError(f"element {k} is not Hermitian")
             if float(np.linalg.eigvalsh(e)[0]) < -POVM_ATOL:
                 raise ValueError(f"element {k} is not positive semidefinite")
             total += e
-        if np.max(np.abs(total - np.eye(dim))) > POVM_ATOL:
+        if not np.max(np.abs(total - np.eye(dim))) <= POVM_ATOL:
             raise ValueError("POVM elements do not sum to the identity within 1e-10")
         self.elements = tuple(e.copy() for e in elems)
         for e in self.elements:

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, PureState, _check_same_basis
+from .fock import HERMITICITY_ATOL, FockBasis, PureState, _check_same_basis
 
-HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
 _AXIS_TOL = 1e-14
 
@@ -76,7 +75,7 @@ class HermitianOp:
         mat = np.array(matrix, dtype=complex)
         if mat.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {basis.dim}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_ATOL:
             raise ValueError("operator is not Hermitian within 1e-12")
         mat.setflags(write=False)
         self.basis = basis
@@ -115,7 +114,7 @@ class UnitaryOp:
         if mat.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {basis.dim}")
         gram = mat.conj().T @ mat
-        if np.max(np.abs(gram - np.eye(basis.dim))) > UNITARITY_ATOL:
+        if not np.max(np.abs(gram - np.eye(basis.dim))) <= UNITARITY_ATOL:
             raise ValueError("operator is not unitary within 1e-10")
         mat.setflags(write=False)
         self.basis = basis

@@ -25,7 +25,7 @@ def _checked_profile(coeffs, expected_len: int) -> np.ndarray:
     if c.shape != (expected_len,):
         raise ValueError(f"expected {expected_len} coefficients, got {c.shape}")
     nrm = float(np.linalg.norm(c))
-    if abs(nrm - 1.0) > NORM_ATOL:
+    if not abs(nrm - 1.0) <= NORM_ATOL:
         raise ValueError(f"coefficient norm {nrm} is not 1 within {NORM_ATOL}")
     return c
 
@@ -173,7 +173,7 @@ def general_probe(
     if np.any(outside):
         raise ValueError("coefficients outside the n1 + n2 <= n_total region")
     nrm = float(np.linalg.norm(c))
-    if abs(nrm - 1.0) > NORM_ATOL:
+    if not abs(nrm - 1.0) <= NORM_ATOL:
         raise ValueError(f"coefficient norm {nrm} is not 1 within {NORM_ATOL}")
     env_occupation = int(env_occupation)
     if env_occupation < 0:

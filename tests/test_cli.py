@@ -85,6 +85,30 @@ class TestValidateConfig:
         monkeypatch.setenv("METROLAB_MAX_DIM", "2000")
         validate_config(json.dumps(doc))
 
+    def test_defaults(self):
+        # The parameters each scenario runs with when the config gives none;
+        # an empty coeffs list means the coefficients are drawn from the seed.
+        expected = {
+            "noon-scaling": {"n_values": list(range(1, 9))},
+            "cat-vs-noon": {"alphas": [1.0, 2.0, 3.0]},
+            "cv-convergence": {"alpha": 1.0, "n_values": [10, 40, 160]},
+            "zeta-optimize": {"n_total": 8, "grid_points": 64, "coeffs": []},
+            "lossy-sweep": {
+                "n_total": 3,
+                "probe": "noon",
+                "probe_mode": 0,
+                "kappas": [k * math.pi / 16 for k in range(9)],
+            },
+            "variance-oracle": {"num_cases": 200, "n_max": 30},
+        }
+        assert sorted(expected) == sorted(SCENARIOS)
+        for scenario, params in expected.items():
+            config = validate_config(json.dumps({"scenario": scenario}))
+            # JSON text tells 1 from 1.0, so the types are pinned too.
+            assert json.dumps(config.params, sort_keys=True) == json.dumps(
+                {**params, "seed": 0}, sort_keys=True
+            )
+
     def test_bad_seed_rejected(self):
         doc = {"scenario": "noon-scaling", "params": {"seed": -3}}
         with pytest.raises(ConfigError):
@@ -257,6 +281,71 @@ class TestMain:
         config_path = write_config(tmp_path, {"scenario": "noon-scaling"})
         assert main(["validate", "--config", str(config_path)]) == 2
         assert "METROLAB_MAX_DIM" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, params, field",
+        [
+            ("cv-convergence", {"alpha": 10**400}, "params.alpha"),
+            ("lossy-sweep", {"kappas": [10**400]}, "params.kappas[0]"),
+            ("zeta-optimize", {"coeffs": [10**400, 0, 0, 0, 0]}, "params.coeffs[0]"),
+            ("zeta-optimize", {"n_total": 10**400}, "params.n_total"),
+            ("zeta-optimize", {"n_total": -(10**400), "grid_points": 10**400}, "params."),
+        ],
+    )
+    def test_huge_integer_exits_2(self, tmp_path, capsys, scenario, params, field):
+        config_path = write_config(tmp_path, {"scenario": scenario, "params": params})
+        assert main(["validate", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == len(params)
+        assert all(line.startswith(f"error: {field}") for line in lines)
+        assert "Traceback" not in err
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "long.json"
+        config_path.write_text(
+            '{"scenario": "cv-convergence", "params": {"alpha": %s}}' % ("1" * 5000),
+            encoding="utf-8",
+        )
+        assert main(["validate", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: integer literal with 5000 digits is not allowed\n"
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1e-200, 0, 0], [1e-160, 0, 0], [1e154, 1e154, 0], [0, 0, 0]],
+    )
+    def test_unnormalizable_coeffs_exit_2(self, tmp_path, capsys, coeffs):
+        doc = {"scenario": "zeta-optimize", "params": {"n_total": 4, "coeffs": coeffs}}
+        config_path = write_config(tmp_path, doc)
+        out = tmp_path / "zeta.csv"
+        assert main(["run", "--config", str(config_path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: params.coeffs:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_listed_params_are_the_accepted_ones(self, tmp_path, capsys):
+        assert main(["list-scenarios"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        listed = {
+            name.split(":")[0]: params.split("params: ")[1].split(", ")
+            for name, params in zip(lines[::2], lines[1::2])
+        }
+        assert sorted(listed) == sorted(SCENARIOS)
+        for scenario, names in listed.items():
+            for name in names:  # null takes the default, so only the name is checked
+                doc = {"scenario": scenario, "params": {name: None}}
+                assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 0
+            doc = {"scenario": scenario, "params": {"unlisted": None}}
+            assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
+            assert "params.unlisted: unknown parameter" in capsys.readouterr().err
+
+    def test_list_scenarios_ignores_bad_dim_cap(self, capsys, monkeypatch):
+        assert main(["list-scenarios"]) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("METROLAB_MAX_DIM", "lots")
+        assert main(["list-scenarios"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2

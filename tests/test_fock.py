@@ -184,6 +184,18 @@ class TestStates:
         state = PureState(basis, [1.0, 1.0, 0.0], normalize=True)
         assert np.isclose(np.linalg.norm(state.amplitudes), 1.0)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pure_state_rejects_non_finite(self, bad, normalize):
+        basis = build_basis(1, 2)
+        for amplitudes in (np.full(3, bad), [bad, 1.0, 0.0]):
+            with pytest.raises(ValueError):
+                PureState(basis, amplitudes, normalize=normalize)
+
+    def test_normalize_rejects_overflowing_norm(self):
+        with pytest.raises(ValueError, match="norm inf"):
+            PureState(build_basis(1, 2), [1e200, 1e200, 0.0], normalize=True)
+
     def test_pure_state_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             PureState(build_basis(1, 2), [1.0, 0.0])
@@ -196,6 +208,14 @@ class TestStates:
             MixedState(basis, [[0.7, 0], [0, 0.7]])  # trace 1.4
         with pytest.raises(ValueError):
             MixedState(basis, [[1.5, 0], [0, -0.5]])  # negative eigenvalue
+
+    @pytest.mark.parametrize("check_psd", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_mixed_state_rejects_non_finite(self, bad, check_psd):
+        basis = build_basis(1, 1)
+        for matrix in (np.full((2, 2), bad), np.diag([bad, 1.0])):
+            with pytest.raises(ValueError):
+                MixedState(basis, matrix, check_psd=check_psd)
 
     def test_expand_cutoff_preserves_amplitudes(self):
         state = noon(3)

@@ -379,6 +379,13 @@ class TestPovmValidation:
         with pytest.raises(ValueError):
             Povm([e, np.eye(2) - e])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            Povm([np.full((2, 2), bad)])
+        with pytest.raises(ValueError):
+            Povm([np.diag([bad, 0.0]), np.diag([0.0, 1.0])])
+
     def test_accepts_projective(self):
         povm = projective_povm(np.eye(4))
         assert len(povm) == 4

@@ -328,6 +328,14 @@ class TestWrappers:
         with pytest.raises(ValueError):
             HermitianOp(basis, [[0, 1], [0, 0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("wrapper", [HermitianOp, UnitaryOp])
+    def test_wrappers_reject_non_finite(self, wrapper, bad):
+        basis = build_basis(1, 1)
+        for matrix in (np.full((2, 2), bad), np.diag([bad, 1.0])):
+            with pytest.raises(ValueError):
+                wrapper(basis, matrix)
+
     def test_hermitian_op_scaling_and_sum(self):
         basis = build_basis(1, 2)
         n = number_op(basis, 0)

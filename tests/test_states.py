@@ -344,3 +344,17 @@ def test_factories_normalized_in_fixed_sector(factory):
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
     masses = state.sector_masses()
     assert np.isclose(masses[state.basis.n_total], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda bad: two_mode_fixed_n([bad, 0, 0, 0], 3),
+        lambda bad: correlated_three_mode([bad, 0], 3),
+        lambda bad: general_probe(np.diag([bad, 0, 0]), 2),
+    ],
+)
+def test_profiles_reject_non_finite(factory, bad):
+    with pytest.raises(ValueError):
+        factory(bad)

@@ -1,0 +1,110 @@
+"""Check that the CLI writes the same bytes as at another commit.
+
+    python tools/csv_identity.py REF
+
+Run from anywhere inside a checkout.  REF (a commit, branch or tag) is
+exported with ``git archive`` into a temporary directory; the working
+tree at the root of the checkout, uncommitted edits included, is the
+other side.  Each side runs ``metrolab list-scenarios`` and the configs
+in CONFIGS, loading metrolab from its own ``src/``, and the exit status,
+stdout and CSV bytes are compared.  Prints one line per run and exits 1
+if any run differs or fails on either side, 0 if all are identical.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+SCENARIOS = (
+    "cat-vs-noon",
+    "cv-convergence",
+    "lossy-sweep",
+    "noon-scaling",
+    "variance-oracle",
+    "zeta-optimize",
+)
+
+# The six scenarios at their defaults, plus the larger or less common
+# paths: the oracle at the n_total cap, a 3-mode basis of dim 1771,
+# caller-given zeta coefficients and the correlated lossy probe.
+CONFIGS = {name: {"scenario": name} for name in SCENARIOS}
+CONFIGS.update({
+    "variance-oracle-n60": {"scenario": "variance-oracle", "params": {"n_max": 60}},
+    "zeta-optimize-n20": {"scenario": "zeta-optimize", "params": {"n_total": 20}},
+    "zeta-optimize-coeffs": {
+        "scenario": "zeta-optimize",
+        "params": {"n_total": 6, "coeffs": [0.3, -1.2, 0.5, 2.0]},
+    },
+    "lossy-sweep-correlated-n10": {
+        "scenario": "lossy-sweep",
+        "params": {"n_total": 10, "probe": "correlated"},
+    },
+})
+
+
+def _git(root: str, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", root, *args], check=True, capture_output=True).stdout
+
+
+def _export(root: str, ref: str, dest: str) -> None:
+    archive = _git(root, "archive", "--format=tar", ref, "src")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def _run(tree: str, work: str, argv: list[str]) -> tuple[int, bytes, bytes]:
+    """(exit status, stdout, CSV bytes) of one metrolab command run in `work`."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metrolab", *argv], cwd=work, env=env, capture_output=True
+    )
+    csv_path = os.path.join(work, "out.csv")
+    csv = b""
+    if os.path.exists(csv_path):
+        with open(csv_path, "rb") as handle:
+            csv = handle.read()
+        os.remove(csv_path)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+    return proc.returncode, proc.stdout, csv
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    root = _git(os.getcwd(), "rev-parse", "--show-toplevel").decode().strip()
+    runs = {"list-scenarios": ["list-scenarios"]}
+    runs.update({
+        name: ["run", "--config", f"{name}.json", "--output", "out.csv"] for name in CONFIGS
+    })
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        ref_tree = os.path.join(tmp, "ref")
+        _export(root, args[0], ref_tree)
+        # Both sides run in the same directory, so the output path that
+        # stdout reports is the same string.
+        work = os.path.join(tmp, "work")
+        os.mkdir(work)
+        for name, config in CONFIGS.items():
+            with open(os.path.join(work, f"{name}.json"), "w", encoding="utf-8") as handle:
+                json.dump(config, handle)
+        for name, command in runs.items():
+            ref = _run(ref_tree, work, command)
+            new = _run(root, work, command)
+            parts = [what for what, a, b in zip(("stdout", "csv"), ref[1:], new[1:]) if a != b]
+            if ref[0] or new[0]:
+                parts.append(f"exit {ref[0]} vs {new[0]}")
+            failed += bool(parts)
+            print(f"{name}: {'DIFFERENT (' + ', '.join(parts) + ')' if parts else 'identical'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
