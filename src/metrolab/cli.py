@@ -359,6 +359,8 @@ def validate_config(text: str) -> ScenarioConfig:
         raise ConfigError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(["syntax error: arrays or objects nested too deeply"]) from exc
 
     errors: list[str] = []
     if not isinstance(doc, dict):

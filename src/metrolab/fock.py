@@ -180,7 +180,8 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has shape {amp.shape}, basis dim is {basis.dim}"
             )
-        nrm = float(np.linalg.norm(amp))
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(amp))
         if normalize:
             if not 1e-300 <= nrm < math.inf:
                 raise ValueError(f"cannot normalize a state of norm {nrm}")
@@ -241,7 +242,7 @@ class MixedState:
             raise ValueError(
                 f"matrix has shape {mat.shape}, basis dim is {basis.dim}"
             )
-        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_ATOL:
+        if not _hermiticity_residual(mat) <= HERMITICITY_ATOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= TRACE_ATOL:
@@ -274,6 +275,12 @@ State = PureState | MixedState
 def _check_same_basis(a, b) -> None:
     if a.basis != b.basis:
         raise ValueError(f"basis mismatch: {a.basis!r} vs {b.basis!r}")
+
+
+def _hermiticity_residual(mat: np.ndarray) -> float:
+    """max |M - M^dagger|; NaN or inf, without a warning, on non-finite input."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(mat - mat.conj().T)))
 
 
 def _as_density(state: State) -> np.ndarray:

@@ -16,8 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import MixedState, PureState, State, _as_density, _check_same_basis
-from .operators import HermitianOp, quadrature_p
+from .fock import (
+    MixedState, PureState, State, _as_density, _check_same_basis, _hermiticity_residual
+)
+from .operators import HermitianOp, _exp_i, quadrature_p
 
 VARIANCE_FLOOR = -1e-10
 PROB_FLOOR = 1e-12
@@ -65,7 +67,7 @@ class Povm:
         for k, e in enumerate(elems):
             if e.shape != (dim, dim):
                 raise ValueError(f"element {k} has shape {e.shape}, expected ({dim},{dim})")
-            if not np.max(np.abs(e - e.conj().T)) <= POVM_ATOL:
+            if not _hermiticity_residual(e) <= POVM_ATOL:
                 raise ValueError(f"element {k} is not Hermitian")
             if float(np.linalg.eigvalsh(e)[0]) < -POVM_ATOL:
                 raise ValueError(f"element {k} is not positive semidefinite")
@@ -229,15 +231,6 @@ def displacement_bound(state: State, nu: int = 1, tail_tol: float = 1e-10) -> fl
     return 1.0 / math.sqrt(4.0 * nu * var_p)
 
 
-def _evolver(generator: HermitianOp):
-    w, v = np.linalg.eigh(generator.matrix)
-
-    def unitary(kappa: float) -> np.ndarray:
-        return (v * np.exp(1j * kappa * w)) @ v.conj().T
-
-    return unitary
-
-
 def _outcome_probs(rho: np.ndarray, povm: Povm) -> np.ndarray:
     return np.array([float(np.real(np.einsum("ij,ji->", e, rho))) for e in povm.elements])
 
@@ -265,27 +258,24 @@ def fisher_information(
     if dkappa <= 0:
         raise ValueError("dkappa must be positive")
     rho = _as_density(state)
-    unitary = _evolver(generator)
+    h = generator.matrix
 
-    def probs_at(kappa: float) -> np.ndarray:
-        u = unitary(kappa)
-        return _outcome_probs(u @ rho @ u.conj().T, povm)
+    def evolved(kappa: float) -> np.ndarray:
+        u = _exp_i(state.basis, h, lambda w: kappa * w)
+        return u @ rho @ u.conj().T
 
-    p0 = probs_at(kappa0)
+    def slope(step: float) -> np.ndarray:
+        ahead = _outcome_probs(evolved(kappa0 + step), povm)
+        return (ahead - _outcome_probs(evolved(kappa0 - step), povm)) / (2 * step)
+
+    rho0 = evolved(kappa0)
+    p0 = _outcome_probs(rho0, povm)
     if method == "central":
-        dp = (probs_at(kappa0 + dkappa) - probs_at(kappa0 - dkappa)) / (2 * dkappa)
+        dp = slope(dkappa)
     elif method == "richardson":
-        coarse = (probs_at(kappa0 + dkappa) - probs_at(kappa0 - dkappa)) / (2 * dkappa)
-        h = dkappa / 2
-        fine = (probs_at(kappa0 + h) - probs_at(kappa0 - h)) / (2 * h)
-        dp = (4 * fine - coarse) / 3
+        dp = (4 * slope(dkappa / 2) - slope(dkappa)) / 3
     elif method == "analytic":
-        u = unitary(kappa0)
-        rho_k = u @ rho @ u.conj().T
-        drho = 1j * (generator.matrix @ rho_k - rho_k @ generator.matrix)
-        dp = np.array(
-            [float(np.real(np.einsum("ij,ji->", e, drho))) for e in povm.elements]
-        )
+        dp = _outcome_probs(1j * (h @ rho0 - rho0 @ h), povm)
     else:
         raise ValueError(f"unknown derivative method {method!r}")
 
@@ -318,7 +308,7 @@ def optimal_povm(
     """
     _check_same_basis(state, generator)
     rho = _as_density(state)
-    u = _evolver(generator)(kappa0)
+    u = _exp_i(state.basis, generator.matrix, lambda w: kappa0 * w)
     rho_k = u @ rho @ u.conj().T
     lam, vecs = np.linalg.eigh(rho_k)
     lam = np.clip(lam, 0.0, None)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import HERMITICITY_ATOL, FockBasis, PureState, _check_same_basis
+from .fock import HERMITICITY_ATOL, FockBasis, PureState, _check_same_basis, _hermiticity_residual
 
 UNITARITY_ATOL = 1e-10
 _AXIS_TOL = 1e-14
@@ -75,7 +75,7 @@ class HermitianOp:
         mat = np.array(matrix, dtype=complex)
         if mat.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {basis.dim}")
-        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_ATOL:
+        if not _hermiticity_residual(mat) <= HERMITICITY_ATOL:
             raise ValueError("operator is not Hermitian within 1e-12")
         mat.setflags(write=False)
         self.basis = basis
@@ -113,8 +113,9 @@ class UnitaryOp:
         mat = np.array(matrix, dtype=complex)
         if mat.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {basis.dim}")
-        gram = mat.conj().T @ mat
-        if not np.max(np.abs(gram - np.eye(basis.dim))) <= UNITARITY_ATOL:
+        with np.errstate(invalid="ignore", over="ignore"):
+            err = np.max(np.abs(mat.conj().T @ mat - np.eye(basis.dim)))
+        if not err <= UNITARITY_ATOL:
             raise ValueError("operator is not unitary within 1e-10")
         mat.setflags(write=False)
         self.basis = basis
@@ -127,13 +128,6 @@ class UnitaryOp:
     def apply(self, state: PureState) -> PureState:
         _check_same_basis(self, state)
         return PureState(self.basis, self.matrix @ state.amplitudes, normalize=True)
-
-    def __matmul__(self, other: "UnitaryOp") -> "UnitaryOp":
-        _check_same_basis(self, other)
-        return UnitaryOp(self.basis, self.matrix @ other.matrix)
-
-    def adjoint(self) -> "UnitaryOp":
-        return UnitaryOp(self.basis, self.matrix.conj().T)
 
 
 def _check_mode(basis: FockBasis, mode: int) -> int:
@@ -200,12 +194,17 @@ def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
     return HermitianOp(basis, mat, label=label)
 
 
-def _exp_i_blockdiag(basis: FockBasis, hermitian: np.ndarray, phase_of) -> np.ndarray:
-    """exp(i * phase_of(H)) for a number-conserving Hermitian H, sector by sector."""
-    out = np.zeros_like(hermitian)
-    for s in range(basis.n_total + 1):
-        block = basis.sector_slice(s)
-        w, v = np.linalg.eigh(hermitian[block, block])
+def _exp_i(basis: FockBasis, h: np.ndarray, phase_of) -> np.ndarray:
+    """exp(i * phase_of(H)) for a Hermitian H, from one eigh per total-number sector.
+
+    An H with a nonzero outside the sector blocks, such as
+    :func:`quadrature_p`, is decomposed as one whole-matrix block instead.
+    """
+    sectors = [basis.sector_slice(s) for s in range(basis.n_total + 1)]
+    conserving = np.count_nonzero(h) == sum(np.count_nonzero(h[b, b]) for b in sectors)
+    out = np.zeros_like(h)
+    for block in sectors if conserving else [slice(None)]:
+        w, v = np.linalg.eigh(h[block, block])
         out[block, block] = (v * np.exp(1j * phase_of(w))) @ v.conj().T
     return out
 
@@ -213,14 +212,14 @@ def _exp_i_blockdiag(basis: FockBasis, hermitian: np.ndarray, phase_of) -> np.nd
 def rotation_unitary(basis: FockBasis, pair: PairAxis, angle: float) -> UnitaryOp:
     """exp(i * angle * J_n) computed exactly via eigendecomposition."""
     h = schwinger_j(basis, pair)
-    mat = _exp_i_blockdiag(basis, h.matrix, lambda w: angle * w)
+    mat = _exp_i(basis, h.matrix, lambda w: angle * w)
     return UnitaryOp(basis, mat, label=f"exp(i*{angle:.6g}*{h.label})")
 
 
 def spin_squeeze_unitary(basis: FockBasis, pair: PairAxis, gamma: float) -> UnitaryOp:
     """exp(i * gamma * J_n^2), the one-axis-twisting gate."""
     h = schwinger_j(basis, pair)
-    mat = _exp_i_blockdiag(basis, h.matrix, lambda w: gamma * w**2)
+    mat = _exp_i(basis, h.matrix, lambda w: gamma * w**2)
     return UnitaryOp(basis, mat, label=f"exp(i*{gamma:.6g}*{h.label}^2)")
 
 

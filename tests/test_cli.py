@@ -311,6 +311,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "error: integer literal with 5000 digits is not allowed\n"
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        depth = 100000
+        config_path = tmp_path / "deep.json"
+        config_path.write_text(
+            '{"scenario": "cv-convergence", "params": {"n_values": %s}}'
+            % ("[" * depth + "]" * depth),
+            encoding="utf-8",
+        )
+        assert main(["validate", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: syntax error: arrays or objects nested too deeply\n"
+
     @pytest.mark.parametrize(
         "coeffs",
         [[1e-200, 0, 0], [1e-160, 0, 0], [1e154, 1e154, 0], [0, 0, 0]],

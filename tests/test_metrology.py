@@ -329,6 +329,31 @@ class TestFisherInformation:
             fi = fisher_information(state, gen, povm, kappa0=0.0)
         assert math.isinf(fi)
 
+    def test_analytic_mixing_generator_matches_dense_reference(self):
+        # quadrature_p couples neighbouring sectors, so it is exponentiated
+        # as one block; the reference builds exp(i kappa p) from its own eigh
+        rng = np.random.default_rng(11)
+        basis = build_basis(2, 4)
+        v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        v /= np.linalg.norm(v)
+        blend = 0.7 * np.outer(v, v.conj()) + 0.3 * np.eye(basis.dim) / basis.dim
+        rho = MixedState(basis, blend)
+        gen = quadrature_p(basis, 0)
+        povm = random_projective_povm(rng, basis.dim)
+        kappa0 = 0.6
+
+        w, vecs = np.linalg.eigh(gen.matrix)
+        u = (vecs * np.exp(1j * kappa0 * w)) @ vecs.conj().T
+        rho_k = u @ rho.matrix @ u.conj().T
+        drho = 1j * (gen.matrix @ rho_k - rho_k @ gen.matrix)
+        p = np.array([np.real(np.trace(e @ rho_k)) for e in povm.elements])
+        dp = np.array([np.real(np.trace(e @ drho)) for e in povm.elements])
+        assert p.min() > 1e-6
+        expected = float(np.sum(dp**2 / p))
+
+        fi = fisher_information(rho, gen, povm, kappa0=kappa0, method="analytic")
+        assert abs(fi - expected) <= 1e-12 * max(1.0, expected)
+
 
 class TestOptimalPovm:
     def test_pure_probe_reaches_qfi(self):

@@ -1,11 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metrolab import (
     HermitianOp,
     PairAxis,
+    PureState,
     UnitaryOp,
     annihilation,
     build_basis,
@@ -24,12 +29,23 @@ from metrolab import (
     variance,
     weighted_number,
 )
-from metrolab.operators import _hopping
+from metrolab.operators import _exp_i, _hopping
 
 X_AXIS = dict(beta=math.pi / 2, phi=0.0)
 Y_AXIS = dict(beta=math.pi / 2, phi=math.pi / 2)
 Z_AXIS = dict(beta=0.0, phi=0.0)
 LADDER_BASES = [(1, 6), (2, 5), (3, 4), (4, 3), (5, 2)]
+
+angles = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@st.composite
+def bases_and_axes(draw, min_total=0):
+    """A basis up to dim 84 and a random axis on a random pair of its modes."""
+    basis = build_basis(draw(st.integers(2, 3)), draw(st.integers(min_total, 6)))
+    i, j = draw(st.permutations(range(basis.num_modes)))[:2]
+    beta, phi = draw(st.floats(0, math.pi)), draw(st.floats(0, 2 * math.pi))
+    return basis, PairAxis(i, j, beta=beta, phi=phi)
 
 
 def loop_annihilation(basis, mode):
@@ -275,6 +291,59 @@ class TestSpinSqueeze:
             m = n - n_total / 2
             expected = np.exp(1j * gamma * m**2)
             assert abs(out[basis.rank((n, n_total - n))] - expected) < 1e-12
+
+
+def check_exp_i(h, kappa, sector_wise):
+    """_exp_i(H) against scipy's expm(i kappa H), and which blocks it decomposed."""
+    basis = h.basis
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        u = _exp_i(basis, h.matrix, lambda w: kappa * w)
+    sectors = [basis.sector_dim(s) for s in range(basis.n_total + 1)]
+    assert [c.args[0].shape[0] for c in eigh.call_args_list] == (
+        sectors if sector_wise else [basis.dim]
+    )
+    assert np.max(np.abs(u - scipy.linalg.expm(1j * kappa * h.matrix))) <= 1e-12
+
+
+def random_state(basis, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    return PureState(basis, v, normalize=True)
+
+
+class TestExpI:
+    @given(bases_and_axes(), angles)
+    def test_pair_generator_matches_expm(self, case, kappa):
+        check_exp_i(schwinger_j(*case), kappa, sector_wise=True)
+
+    @given(st.integers(1, 3), st.integers(0, 6), st.data(), angles)
+    def test_number_op_matches_expm(self, num_modes, n_total, data, kappa):
+        basis = build_basis(num_modes, n_total)
+        mode = data.draw(st.integers(0, num_modes - 1))
+        check_exp_i(number_op(basis, mode), kappa, sector_wise=True)
+
+    @given(st.integers(1, 3), st.integers(1, 6), st.data(), angles)
+    def test_quadrature_takes_whole_matrix_path(self, num_modes, n_total, data, kappa):
+        basis = build_basis(num_modes, n_total)
+        mode = data.draw(st.integers(0, num_modes - 1))
+        check_exp_i(quadrature_p(basis, mode), kappa, sector_wise=False)
+
+    @given(bases_and_axes(min_total=1), st.floats(1e-12, 1e-6), angles)
+    def test_tiny_off_sector_term_takes_whole_matrix_path(self, case, eps, kappa):
+        basis, axis = case
+        mixed = schwinger_j(basis, axis) + eps * quadrature_p(basis, axis.i)
+        check_exp_i(mixed, kappa, sector_wise=False)
+
+    @given(bases_and_axes(), angles, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_gates_keep_norm_and_sector_masses(self, case, angle, squeeze, seed):
+        basis, axis = case
+        state = random_state(basis, seed)
+        gate = spin_squeeze_unitary if squeeze else rotation_unitary
+        out = gate(basis, axis, angle).matrix @ state.amplitudes
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+        np.testing.assert_allclose(
+            PureState(basis, out).sector_masses(), state.sector_masses(), atol=1e-12
+        )
 
 
 class TestQuadrature:
