@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import dataclass, field
 
@@ -107,6 +108,11 @@ def _integer(text: str) -> int:
         raise ConfigError([f"integer literal with {len(text)} digits is not allowed"]) from exc
 
 
+def _cut(key: str, limit: int = 40) -> str:
+    """A config key for an error line, cut to `limit` characters."""
+    return key if len(key) <= limit else key[: limit - 3] + "..."
+
+
 def _checked(params, name, spec, errors):
     """params[name] checked against spec, or None after recording why not.
 
@@ -115,7 +121,8 @@ def _checked(params, name, spec, errors):
     is a list.  A tuple of strings is a choice; its first entry is the
     default.  An absent or null parameter takes the default.  Bounds are
     compared before float() is called, so an integer too large for a
-    float is out of range, not an overflow.
+    float is out of range, not an overflow.  An error message echoes the
+    value through reprlib, so it stays short however large the value is.
     """
     value = params.get(name)
     if isinstance(spec[0], str):
@@ -124,7 +131,7 @@ def _checked(params, name, spec, errors):
         if value in spec:
             return value
         choices = ", ".join(map(repr, spec))
-        errors.append(f"params.{name}: expected one of {choices}, got {value!r}")
+        errors.append(f"params.{name}: expected one of {choices}, got {reprlib.repr(value)}")
         return None
     kind, lo, hi, default = spec
     listed = isinstance(default, list)
@@ -138,10 +145,10 @@ def _checked(params, name, spec, errors):
     for k, item in enumerate(value if listed else [value]):
         where = f"params.{name}[{k}]" if listed else f"params.{name}"
         if isinstance(item, bool) or not isinstance(item, types):
-            errors.append(f"{where}: expected {noun}, got {item!r}")
+            errors.append(f"{where}: expected {noun}, got {reprlib.repr(item)}")
             return None
         if not lo <= item <= hi:
-            errors.append(f"{where}: must be in [{lo}, {hi}], got {item}")
+            errors.append(f"{where}: must be in [{lo}, {hi}], got {reprlib.repr(item)}")
             return None
         out.append(kind(item))
     return out if listed else out[0]
@@ -370,7 +377,7 @@ def validate_config(text: str) -> ScenarioConfig:
     if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(
             [
-                f"scenario: {scenario!r} is not recognized; valid scenarios: "
+                f"scenario: {reprlib.repr(scenario)} is not recognized; valid scenarios: "
                 + ", ".join(sorted(SCENARIOS))
             ]
         )
@@ -384,12 +391,12 @@ def validate_config(text: str) -> ScenarioConfig:
         errors.append("output: expected a string")
         output = ""
     for key in sorted(set(doc) - {"scenario", "params", "output"}):
-        errors.append(f"{key}: unknown config field")
+        errors.append(f"{_cut(key)}: unknown config field")
 
     _, specs, validator, _ = SCENARIOS[scenario]
     specs = {**specs, "seed": _SEED_SPEC}
     for name in sorted(set(params) - set(specs)):
-        errors.append(f"params.{name}: unknown parameter")
+        errors.append(f"params.{_cut(name)}: unknown parameter")
     cleaned = {name: _checked(params, name, spec, errors) for name, spec in specs.items()}
     if None not in cleaned.values():
         validator(cleaned, errors)

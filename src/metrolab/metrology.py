@@ -92,20 +92,33 @@ def projective_povm(vectors: np.ndarray) -> Povm:
     return Povm([np.outer(v[:, k], v[:, k].conj()) for k in range(v.shape[1])])
 
 
+def _applied(op: HermitianOp, vec: np.ndarray) -> np.ndarray:
+    """op |vec>: elementwise for a diagonal op, a matrix product otherwise."""
+    return op.matrix @ vec if op.weights is None else op.weights * vec
+
+
 def expectation(state: State, op: HermitianOp) -> float:
     _check_same_basis(state, op)
     if isinstance(state, PureState):
-        return float(np.real(np.vdot(state.amplitudes, op.matrix @ state.amplitudes)))
+        return float(np.real(np.vdot(state.amplitudes, _applied(op, state.amplitudes))))
+    if op.weights is not None:
+        return float(np.real(np.diag(state.matrix)) @ op.weights)
     return float(np.real(np.trace(state.matrix @ op.matrix)))
 
 
 def variance(state: State, op: HermitianOp) -> float:
-    """<op^2> - <op>^2, clamped at zero (raises below -1e-10)."""
+    """<op^2> - <op>^2, clamped at zero (raises below -1e-10).
+
+    For a diagonal op this is O(dim): it reads only the amplitudes, or
+    the diagonal of the density matrix.
+    """
     _check_same_basis(state, op)
     mean = expectation(state, op)
     if isinstance(state, PureState):
-        dev = op.matrix @ state.amplitudes - mean * state.amplitudes
+        dev = _applied(op, state.amplitudes) - mean * state.amplitudes
         var = float(np.real(np.vdot(dev, dev)))
+    elif op.weights is not None:
+        var = float(np.real(np.diag(state.matrix)) @ (op.weights - mean) ** 2)
     else:
         dev = op.matrix - mean * np.eye(op.basis.dim)
         var = float(np.real(np.trace(state.matrix @ dev @ dev)))

@@ -67,41 +67,76 @@ class PairAxis:
 
 
 class HermitianOp:
-    """A Hermitian matrix tied to a basis; supports + and real scaling."""
+    """A Hermitian operator tied to a basis; supports +, - and real scaling.
 
-    __slots__ = ("basis", "matrix", "label")
+    A ``(dim,)`` real array is a diagonal operator, stored as that weight
+    vector over the occupation table (``weights``); a ``(dim, dim)`` array
+    is a dense matrix (``weights`` is None).  ``matrix`` is the dense form,
+    built once on first use for a diagonal operator.  Both are read-only.
+    Sums, differences and real multiples of diagonal operators stay diagonal.
+    """
+
+    __slots__ = ("basis", "weights", "_matrix", "label")
 
     def __init__(self, basis: FockBasis, matrix, label: str = ""):
-        mat = np.array(matrix, dtype=complex)
-        if mat.shape != (basis.dim, basis.dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match dim {basis.dim}")
-        if not _hermiticity_residual(mat) <= HERMITICITY_ATOL:
-            raise ValueError("operator is not Hermitian within 1e-12")
-        mat.setflags(write=False)
+        arr = np.asarray(matrix)
+        if arr.shape not in ((basis.dim,), (basis.dim, basis.dim)):
+            raise ValueError(f"matrix shape {arr.shape} does not match dim {basis.dim}")
+        weights = mat = None
+        if arr.ndim == 1:
+            if np.iscomplexobj(arr):
+                raise ValueError("diagonal weights must be real")
+            weights = np.array(arr, dtype=float)
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("operator is not Hermitian within 1e-12")
+            weights.setflags(write=False)
+        else:
+            mat = np.array(arr, dtype=complex)
+            if not _hermiticity_residual(mat) <= HERMITICITY_ATOL:
+                raise ValueError("operator is not Hermitian within 1e-12")
+            mat.setflags(write=False)
         self.basis = basis
-        self.matrix = mat
+        self.weights = weights
+        self._matrix = mat
         self.label = label
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            mat = np.diag(self.weights.astype(complex))
+            mat.setflags(write=False)
+            self._matrix = mat
+        return self._matrix
 
     def __repr__(self) -> str:
         return f"HermitianOp({self.label or 'unlabeled'}, basis={self.basis!r})"
 
-    def __add__(self, other: "HermitianOp") -> "HermitianOp":
+    def _data(self) -> np.ndarray:
+        return self.matrix if self.weights is None else self.weights
+
+    def _operands(self, other: "HermitianOp") -> tuple[np.ndarray, np.ndarray]:
         _check_same_basis(self, other)
-        return HermitianOp(self.basis, self.matrix + other.matrix)
+        if self.weights is None or other.weights is None:
+            return self.matrix, other.matrix
+        return self.weights, other.weights
+
+    def __add__(self, other: "HermitianOp") -> "HermitianOp":
+        a, b = self._operands(other)
+        return HermitianOp(self.basis, a + b)
 
     def __sub__(self, other: "HermitianOp") -> "HermitianOp":
-        _check_same_basis(self, other)
-        return HermitianOp(self.basis, self.matrix - other.matrix)
+        a, b = self._operands(other)
+        return HermitianOp(self.basis, a - b)
 
     def __mul__(self, scalar) -> "HermitianOp":
         if isinstance(scalar, complex) and scalar.imag != 0:
             raise TypeError("only real scalars preserve hermiticity")
-        return HermitianOp(self.basis, float(scalar) * self.matrix)
+        return HermitianOp(self.basis, float(scalar) * self._data())
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "HermitianOp":
-        return HermitianOp(self.basis, -self.matrix)
+        return HermitianOp(self.basis, -self._data())
 
 
 class UnitaryOp:
@@ -171,23 +206,27 @@ def number_op(basis: FockBasis, mode: int) -> HermitianOp:
     """Diagonal photon-number operator for one mode."""
     mode = _check_mode(basis, mode)
     diag = basis.occupations()[:, mode].astype(float)
-    return HermitianOp(basis, np.diag(diag), label=f"n[{mode}]")
+    return HermitianOp(basis, diag, label=f"n[{mode}]")
 
 
 def total_number_op(basis: FockBasis) -> HermitianOp:
     diag = basis.occupations().sum(axis=1).astype(float)
-    return HermitianOp(basis, np.diag(diag), label="n_total")
+    return HermitianOp(basis, diag, label="n_total")
 
 
 def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
-    """Angular-momentum component J_n on a mode pair along `pair`'s axis."""
+    """Angular-momentum component J_n on a mode pair along `pair`'s axis.
+
+    Along z (no x or y component) it is diagonal and kept as weights.
+    """
     i = _check_mode(basis, pair.i)
     j = _check_mode(basis, pair.j)
     nz, nx, ny = pair.direction()
     occ = basis.occupations()
-    mat = np.diag(nz * (occ[:, i] - occ[:, j]) / 2.0).astype(complex)
+    mat = nz * (occ[:, i] - occ[:, j]) / 2.0
     if abs(nx) > _AXIS_TOL or abs(ny) > _AXIS_TOL:
         hop = _hopping(basis, i, j)
+        mat = np.diag(mat).astype(complex)
         mat += (nx / 2.0) * (hop + hop.conj().T)
         mat += (ny / 2.0) * 1j * (hop.conj().T - hop)
     label = f"J[beta={pair.beta:.6g},phi={pair.phi:.6g}]({i},{j})"
@@ -238,7 +277,7 @@ def weighted_number(basis: FockBasis, zeta: float) -> tuple[HermitianOp, Hermiti
     """The pair (n_zeta, n_zeta_perp) of weighted number generators.
 
     n_zeta = cos(zeta) n0 + sin(zeta) n1 and
-    n_zeta_perp = sin(zeta) n0 - cos(zeta) n1, both diagonal.
+    n_zeta_perp = sin(zeta) n0 - cos(zeta) n1, both diagonal (weights).
     """
     if basis.num_modes < 2:
         raise ValueError("weighted_number needs at least 2 modes")
@@ -246,8 +285,6 @@ def weighted_number(basis: FockBasis, zeta: float) -> tuple[HermitianOp, Hermiti
     n0 = occ[:, 0].astype(float)
     n1 = occ[:, 1].astype(float)
     c, s = math.cos(zeta), math.sin(zeta)
-    n_zeta = HermitianOp(basis, np.diag(c * n0 + s * n1), label=f"n_zeta[{zeta:.6g}]")
-    n_perp = HermitianOp(
-        basis, np.diag(s * n0 - c * n1), label=f"n_zeta_perp[{zeta:.6g}]"
-    )
+    n_zeta = HermitianOp(basis, c * n0 + s * n1, label=f"n_zeta[{zeta:.6g}]")
+    n_perp = HermitianOp(basis, s * n0 - c * n1, label=f"n_zeta_perp[{zeta:.6g}]")
     return n_zeta, n_perp

@@ -286,3 +286,18 @@ def test_c11_cli_determinism_and_budget(tmp_path):
     elapsed = time.perf_counter() - _SUITE_START
     assert elapsed < 300.0, f"acceptance suite took {elapsed:.0f}s"
     report(11, "all CLI scenarios rerun byte-identically; suite under 5 minutes")
+
+
+def test_c12_zeta_optimize_at_the_cap_budget(tmp_path, monkeypatch):
+    monkeypatch.delenv("METROLAB_MAX_DIM", raising=False)
+    config = validate_config(json.dumps({"scenario": "zeta-optimize", "params": {"n_total": 26}}))
+    config.output_path = str(tmp_path / "zeta.csv")
+    stream = io.StringIO()
+    start = time.perf_counter()
+    assert run_scenario(config, stream=stream) == 0
+    elapsed = time.perf_counter() - start
+    assert build_basis(3, 26).dim == 3654
+    rows = (tmp_path / "zeta.csv").read_text(encoding="utf-8").splitlines()[2:]
+    assert len(rows) == 64
+    assert elapsed < 3.0, f"zeta-optimize at n_total=26 took {elapsed:.1f}s"
+    report(12, "zeta-optimize at n_total=26 (dim 3654), 64 grid points, under 3 s")

@@ -324,6 +324,27 @@ class TestMain:
         assert err == "error: syntax error: arrays or objects nested too deeply\n"
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            '{"scenario": "noon-scaling", "params": {"n_values": ["%s"]}}' % ("x" * 5000),
+            '{"scenario": "cv-convergence", "params": {"alpha": 1%s}}' % ("0" * 4000),
+            '{"scenario": "noon-scaling", "params": {"n_values": [%s%s]}}'
+            % ("[" * 300, "]" * 300),
+            '{"scenario": "lossy-sweep", "params": {"probe": "%s"}}' % ("y" * 5000),
+            '{"scenario": "%s"}' % ("s" * 5000),
+            '{"scenario": "noon-scaling", "%s": 1, "params": {"%s": 1}}' % ("k" * 5000, "p" * 5000),
+        ],
+        ids=["long-string", "huge-integer", "nested-300", "choice", "scenario", "names"],
+    )
+    def test_error_lines_stay_short(self, tmp_path, capsys, text):
+        config_path = tmp_path / "big.json"
+        config_path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--config", str(config_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(line.startswith("error: ") for line in lines)
+        assert max(map(len, lines)) <= 200, [len(line) for line in lines]
+
+    @pytest.mark.parametrize(
         "coeffs",
         [[1e-200, 0, 0], [1e-160, 0, 0], [1e154, 1e154, 0], [0, 0, 0]],
     )

@@ -291,6 +291,32 @@ class TestFidelity:
         assert np.isclose(value, expected, atol=1e-12)
 
 
+def random_state_of_kind(rng, basis, mixed):
+    """A random pure state, or a density matrix of random rank (1..dim)."""
+    if not mixed:
+        return random_pure(rng, basis)
+    rank = int(rng.integers(1, basis.dim + 1))
+    g = rng.standard_normal((basis.dim, rank)) + 1j * rng.standard_normal((basis.dim, rank))
+    rho = g @ g.conj().T
+    return MixedState(basis, rho / np.trace(rho).real, check_psd=False)
+
+
+@given(
+    st.builds(build_basis, st.integers(1, 3), st.integers(0, 4)),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_fidelity_symmetric_and_in_unit_interval(basis, a_mixed, b_mixed, seed):
+    rng = np.random.default_rng(seed)
+    a = random_state_of_kind(rng, basis, a_mixed)
+    b = random_state_of_kind(rng, basis, b_mixed)
+    forward, backward = fidelity(a, b), fidelity(b, a)
+    assert 0.0 <= forward <= 1.0 and 0.0 <= backward <= 1.0
+    assert abs(forward - backward) <= 1e-10
+    assert abs(fidelity(a, a) - 1.0) <= 1e-8
+
+
 class TestPartialTrace:
     def test_product_state_reduces_to_projector(self):
         basis = build_basis(2, 4)

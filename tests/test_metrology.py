@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metrolab import (
     MixedState,
@@ -290,6 +292,30 @@ class TestFisherInformation:
             povm = random_projective_povm(rng, state.basis.dim)
             fi = fisher_information(probe, gen, povm, kappa0=rng.uniform(0, 1))
             assert fi <= qfi + 1e-6
+
+    @given(
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+        st.floats(0.0, 1.0),
+    )
+    def test_bounded_by_qfi_for_random_projective_povms(
+        self, n_total, seed, purity, z_axis, kappa0
+    ):
+        """Braunstein-Caves: F_C <= F_Q for every POVM (PRL 72, 3439, 1994)."""
+        rng = np.random.default_rng(seed)
+        state = two_mode_fixed_n(random_profile(rng, n_total + 1), n_total)
+        axis = PairAxis(0, 1, **Z_AXIS) if z_axis else random_axis(rng)
+        gen = schwinger_j(state.basis, axis)
+        dim = state.basis.dim
+        blend = purity * state.density_matrix() + (1.0 - purity) * np.eye(dim) / dim
+        probe = MixedState(state.basis, blend, check_psd=False)
+        povm = random_projective_povm(rng, dim)
+        mixed_fi = fisher_information(probe, gen, povm, kappa0=kappa0)
+        assert mixed_fi <= qfi_mixed(probe, gen).qfi + 1e-6
+        pure_fi = fisher_information(state, gen, povm, kappa0=kappa0)
+        assert pure_fi <= qfi_pure(state, gen).qfi + 1e-6
 
     def test_derivative_methods_agree(self):
         state = noon(3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from metrolab import (
     HermitianOp,
+    MixedState,
     PairAxis,
     PureState,
     UnitaryOp,
@@ -423,3 +424,99 @@ class TestWrappers:
         u = rotation_unitary(basis, PairAxis(0, 1, **X_AXIS), 0.77)
         state = u.apply(basis.basis_state((1, 2)))
         assert np.isclose(np.linalg.norm(state.amplitudes), 1.0)
+
+
+small_bases = st.builds(build_basis, st.integers(1, 4), st.integers(0, 5))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_mixed(basis, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((basis.dim, basis.dim)) + 1j * rng.standard_normal(
+        (basis.dim, basis.dim)
+    )
+    rho = g @ g.conj().T
+    return MixedState(basis, rho / np.trace(rho).real, check_psd=False)
+
+
+class TestDiagonalForm:
+    """Weight-form operators against dense np.diag references built here."""
+
+    @given(small_bases, seeds, st.booleans())
+    def test_expectation_and_variance_match_dense(self, basis, seed, mixed):
+        weights = np.random.default_rng(seed).uniform(-5.0, 5.0, basis.dim)
+        diag, dense = np.diag(weights), HermitianOp(basis, np.diag(weights))
+        op = HermitianOp(basis, weights)
+        state = random_mixed(basis, seed + 1) if mixed else random_state(basis, seed + 1)
+        rho = state.matrix if mixed else state.density_matrix()
+        mean = float(np.real(np.trace(rho @ diag)))
+        shifted = diag - mean * np.eye(basis.dim)
+        var = float(np.real(np.trace(rho @ shifted @ shifted)))
+        assert abs(expectation(state, op) - mean) <= 1e-12
+        assert abs(expectation(state, op) - expectation(state, dense)) <= 1e-12
+        assert abs(variance(state, op) - max(var, 0.0)) <= 1e-12
+        assert abs(variance(state, op) - variance(state, dense)) <= 1e-12
+
+    @given(small_bases, st.data())
+    def test_builders_keep_weights_and_a_read_only_view(self, basis, data):
+        occ = basis.occupations().astype(float)
+        mode = data.draw(st.integers(0, basis.num_modes - 1))
+        cases = [(number_op(basis, mode), occ[:, mode]), (total_number_op(basis), occ.sum(axis=1))]
+        if basis.num_modes >= 2:
+            zeta = data.draw(angles)
+            c, s = math.cos(zeta), math.sin(zeta)
+            n_zeta, n_perp = weighted_number(basis, zeta)
+            half_diff = (occ[:, 0] - occ[:, 1]) / 2
+            cases += [
+                (n_zeta, c * occ[:, 0] + s * occ[:, 1]),
+                (n_perp, s * occ[:, 0] - c * occ[:, 1]),
+                (schwinger_j(basis, PairAxis(0, 1, **Z_AXIS)), half_diff),
+                (schwinger_j(basis, PairAxis(0, 1, beta=math.pi)), -half_diff),
+            ]
+        for op, weights in cases:
+            assert op.weights is not None
+            np.testing.assert_array_equal(op.weights, weights)
+            view = op.matrix
+            assert view.dtype == complex
+            np.testing.assert_array_equal(view, np.diag(weights))
+            assert op.matrix is view
+            assert not view.flags.writeable and not op.weights.flags.writeable
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
+
+    def test_off_axis_schwinger_is_dense(self):
+        basis = build_basis(2, 3)
+        assert schwinger_j(basis, PairAxis(0, 1, **X_AXIS)).weights is None
+        assert quadrature_p(basis, 0).weights is None
+
+    @given(small_bases, seeds, st.floats(-10.0, 10.0))
+    def test_arithmetic_stays_diagonal_and_matches_dense(self, basis, seed, scale):
+        wa, wb = np.random.default_rng(seed).uniform(-5.0, 5.0, (2, basis.dim))
+        a, b = HermitianOp(basis, wa), HermitianOp(basis, wb)
+        da, db = HermitianOp(basis, np.diag(wa)), HermitianOp(basis, np.diag(wb))
+        pairs = [
+            (a + b, da + db),
+            (a - b, da - db),
+            (scale * a, scale * da),
+            (a * scale, da * scale),
+            (-a, -da),
+        ]
+        for diag, dense in pairs:
+            assert diag.weights is not None and dense.weights is None
+            np.testing.assert_array_equal(diag.matrix, dense.matrix)
+        mixed = a + db
+        assert mixed.weights is None
+        np.testing.assert_array_equal(mixed.matrix, (da + db).matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 1e-3j, 2.0 + 0j])
+    def test_rejects_non_finite_and_complex_weights(self, bad):
+        basis = build_basis(2, 2)
+        weights = np.ones(basis.dim, dtype=type(bad))
+        weights[3] = bad
+        with pytest.raises(ValueError):
+            HermitianOp(basis, weights)
+
+    def test_rejects_weights_of_the_wrong_length(self):
+        basis = build_basis(2, 2)
+        with pytest.raises(ValueError, match="does not match dim"):
+            HermitianOp(basis, np.ones(basis.dim + 1))

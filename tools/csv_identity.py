@@ -31,11 +31,12 @@ SCENARIOS = (
 )
 
 # The six scenarios at their defaults, plus the larger or less common
-# paths: the oracle at the n_total cap, a 3-mode basis of dim 1771,
-# caller-given zeta coefficients and the correlated lossy probe.
+# paths: the oracle and the NOON sweep at the n_total cap, a 3-mode basis
+# of dim 1771, caller-given zeta coefficients and the correlated lossy probe.
 CONFIGS = {name: {"scenario": name} for name in SCENARIOS}
 CONFIGS.update({
     "variance-oracle-n60": {"scenario": "variance-oracle", "params": {"n_max": 60}},
+    "noon-scaling-n60": {"scenario": "noon-scaling", "params": {"n_values": list(range(1, 61))}},
     "zeta-optimize-n20": {"scenario": "zeta-optimize", "params": {"n_total": 20}},
     "zeta-optimize-coeffs": {
         "scenario": "zeta-optimize",
