@@ -411,7 +411,12 @@ def run_scenario(config: ScenarioConfig, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
     runner = SCENARIOS[config.scenario][0]
     rng = np.random.default_rng(config.params.get("seed", DEFAULT_SEED))
-    header, rows, notes = runner(config.params, rng)
+    try:
+        header, rows, notes = runner(config.params, rng)
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {reprlib.repr(str(exc))}"
+        print(f"error: scenario {config.scenario} failed: {message}", file=sys.stderr)
+        return 1
     try:
         _write_csv(config.output_path, header, rows)
     except OSError as exc:

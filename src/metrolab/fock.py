@@ -206,7 +206,7 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def to_mixed(self) -> "MixedState":
-        return MixedState(self.basis, self.density_matrix(), check_psd=False)
+        return _exact(MixedState, basis=self.basis, matrix=self.density_matrix())
 
     def sector_masses(self) -> np.ndarray:
         """Probability in each total-photon-number sector, indexed by sector."""
@@ -226,17 +226,11 @@ class PureState:
 
 
 class MixedState:
-    """Hermitian, unit-trace density matrix over a :class:`FockBasis`.
-
-    The constructor always checks hermiticity and trace.  Positive
-    semidefiniteness costs an eigendecomposition, so it is checked only
-    when ``check_psd`` is true (the default); internal producers that are
-    PSD by construction skip it.
-    """
+    """Hermitian, unit-trace, PSD density matrix over a :class:`FockBasis` (all checked)."""
 
     __slots__ = ("basis", "matrix")
 
-    def __init__(self, basis: FockBasis, matrix, check_psd: bool = True):
+    def __init__(self, basis: FockBasis, matrix):
         mat = np.array(matrix, dtype=complex)
         if mat.shape != (basis.dim, basis.dim):
             raise ValueError(
@@ -247,7 +241,7 @@ class MixedState:
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within {TRACE_ATOL}")
-        if check_psd and float(np.linalg.eigvalsh(mat)[0]) < PSD_EIGENVALUE_FLOOR:
+        if float(np.linalg.eigvalsh(mat)[0]) < PSD_EIGENVALUE_FLOOR:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
         mat.setflags(write=False)
         self.basis = basis
@@ -275,6 +269,17 @@ State = PureState | MixedState
 def _check_same_basis(a, b) -> None:
     if a.basis != b.basis:
         raise ValueError(f"basis mismatch: {a.basis!r} vs {b.basis!r}")
+
+
+def _exact(cls, **fields):
+    """An unchecked `cls` for a product exact by construction; its arrays are made read-only."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        setattr(obj, name, value)
+    return obj
 
 
 def _hermiticity_residual(mat: np.ndarray) -> float:
@@ -336,7 +341,7 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
     traced = [m for m in range(basis.num_modes) if m not in keep]
 
     if not traced:
-        return MixedState(basis, _as_density(state), check_psd=False)
+        return _exact(MixedState, basis=basis, matrix=_as_density(state))
 
     reduced = build_basis(len(keep), basis.n_total)
     occ = basis.occupations()
@@ -357,7 +362,7 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
             idx = np.nonzero(traced_key == key)[0]
             out[np.ix_(kept_rank[idx], kept_rank[idx])] += rho[np.ix_(idx, idx)]
     out = (out + out.conj().T) / 2
-    return MixedState(reduced, out, check_psd=False)
+    return _exact(MixedState, basis=reduced, matrix=out)
 
 
 def tensor_product(a: PureState, b: PureState, n_total: int | None = None) -> PureState:

@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .fock import (
-    MixedState, PureState, State, _as_density, _check_same_basis, _hermiticity_residual
+    MixedState, PureState, State, _as_density, _check_same_basis, _exact, _hermiticity_residual
 )
-from .operators import HermitianOp, _exp_i, quadrature_p
+from .operators import HermitianOp, _exp_i, _unitarity_residual, quadrature_p
 
 VARIANCE_FLOOR = -1e-10
 PROB_FLOOR = 1e-12
@@ -87,9 +87,12 @@ class Povm:
 
 
 def projective_povm(vectors: np.ndarray) -> Povm:
-    """Rank-1 POVM from the orthonormal columns of `vectors`."""
+    """Rank-1 POVM onto the columns of a square `vectors`, checked once to be orthonormal."""
     v = np.asarray(vectors, dtype=complex)
-    return Povm([np.outer(v[:, k], v[:, k].conj()) for k in range(v.shape[1])])
+    square = v.ndim == 2 and v.shape[0] == v.shape[1] and v.size
+    if not (square and _unitarity_residual(v) <= POVM_ATOL):
+        raise ValueError(f"vectors of shape {v.shape} are not an orthonormal basis within 1e-10")
+    return _exact(Povm, elements=tuple(np.outer(c, c.conj()) for c in v.T))
 
 
 def _applied(op: HermitianOp, vec: np.ndarray) -> np.ndarray:
@@ -150,8 +153,6 @@ def qfi_mixed(
     if eigenvalue_floor < 0:
         raise ValueError("eigenvalue_floor must be >= 0")
     lam, vecs = np.linalg.eigh(rho.matrix)
-    if float(lam[0]) < -1e-10:
-        raise ValueError(f"density matrix eigenvalue {lam[0]} below -1e-10")
     lam = np.clip(lam, 0.0, None)
     h = vecs.conj().T @ generator.matrix @ vecs
     sums = lam[:, None] + lam[None, :]

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import HERMITICITY_ATOL, FockBasis, PureState, _check_same_basis, _hermiticity_residual
+from .fock import (
+    HERMITICITY_ATOL, FockBasis, PureState, _check_same_basis, _exact, _hermiticity_residual
+)
 
 UNITARITY_ATOL = 1e-10
 _AXIS_TOL = 1e-14
@@ -129,8 +131,10 @@ class HermitianOp:
         return HermitianOp(self.basis, a - b)
 
     def __mul__(self, scalar) -> "HermitianOp":
-        if isinstance(scalar, complex) and scalar.imag != 0:
-            raise TypeError("only real scalars preserve hermiticity")
+        if isinstance(scalar, (complex, np.complexfloating)):
+            if scalar.imag != 0:
+                raise TypeError("only real scalars preserve hermiticity")
+            scalar = scalar.real
         return HermitianOp(self.basis, float(scalar) * self._data())
 
     __rmul__ = __mul__
@@ -148,9 +152,7 @@ class UnitaryOp:
         mat = np.array(matrix, dtype=complex)
         if mat.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {basis.dim}")
-        with np.errstate(invalid="ignore", over="ignore"):
-            err = np.max(np.abs(mat.conj().T @ mat - np.eye(basis.dim)))
-        if not err <= UNITARITY_ATOL:
+        if not _unitarity_residual(mat) <= UNITARITY_ATOL:
             raise ValueError("operator is not unitary within 1e-10")
         mat.setflags(write=False)
         self.basis = basis
@@ -163,6 +165,12 @@ class UnitaryOp:
     def apply(self, state: PureState) -> PureState:
         _check_same_basis(self, state)
         return PureState(self.basis, self.matrix @ state.amplitudes, normalize=True)
+
+
+def _unitarity_residual(mat: np.ndarray) -> float:
+    """max |M^dagger M - 1|; NaN or inf, without a warning, on non-finite input."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
 
 
 def _check_mode(basis: FockBasis, mode: int) -> int:
@@ -224,12 +232,13 @@ def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
     nz, nx, ny = pair.direction()
     occ = basis.occupations()
     mat = nz * (occ[:, i] - occ[:, j]) / 2.0
+    label = f"J[beta={pair.beta:.6g},phi={pair.phi:.6g}]({i},{j})"
     if abs(nx) > _AXIS_TOL or abs(ny) > _AXIS_TOL:
         hop = _hopping(basis, i, j)
         mat = np.diag(mat).astype(complex)
         mat += (nx / 2.0) * (hop + hop.conj().T)
         mat += (ny / 2.0) * 1j * (hop.conj().T - hop)
-    label = f"J[beta={pair.beta:.6g},phi={pair.phi:.6g}]({i},{j})"
+        return _exact(HermitianOp, basis=basis, weights=None, _matrix=mat, label=label)
     return HermitianOp(basis, mat, label=label)
 
 
@@ -250,16 +259,20 @@ def _exp_i(basis: FockBasis, h: np.ndarray, phase_of) -> np.ndarray:
 
 def rotation_unitary(basis: FockBasis, pair: PairAxis, angle: float) -> UnitaryOp:
     """exp(i * angle * J_n) computed exactly via eigendecomposition."""
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle}")
     h = schwinger_j(basis, pair)
     mat = _exp_i(basis, h.matrix, lambda w: angle * w)
-    return UnitaryOp(basis, mat, label=f"exp(i*{angle:.6g}*{h.label})")
+    return _exact(UnitaryOp, basis=basis, matrix=mat, label=f"exp(i*{angle:.6g}*{h.label})")
 
 
 def spin_squeeze_unitary(basis: FockBasis, pair: PairAxis, gamma: float) -> UnitaryOp:
     """exp(i * gamma * J_n^2), the one-axis-twisting gate."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"twisting strength must be finite, got {gamma}")
     h = schwinger_j(basis, pair)
     mat = _exp_i(basis, h.matrix, lambda w: gamma * w**2)
-    return UnitaryOp(basis, mat, label=f"exp(i*{gamma:.6g}*{h.label}^2)")
+    return _exact(UnitaryOp, basis=basis, matrix=mat, label=f"exp(i*{gamma:.6g}*{h.label}^2)")
 
 
 def quadrature_p(basis: FockBasis, mode: int) -> HermitianOp:
@@ -270,7 +283,8 @@ def quadrature_p(basis: FockBasis, mode: int) -> HermitianOp:
     themselves (see :func:`metrolab.metrology.displacement_bound`).
     """
     a = annihilation(basis, mode)
-    return HermitianOp(basis, 0.5j * (a.conj().T - a), label=f"p[{mode}]")
+    mat = 0.5j * (a.conj().T - a)
+    return _exact(HermitianOp, basis=basis, weights=None, _matrix=mat, label=f"p[{mode}]")
 
 
 def weighted_number(basis: FockBasis, zeta: float) -> tuple[HermitianOp, HermitianOp]:

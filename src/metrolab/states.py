@@ -12,7 +12,7 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from .fock import NORM_ATOL, PureState, build_basis
 from .operators import PairAxis, rotation_unitary
@@ -100,7 +100,7 @@ def coherent_cutoff(alpha: complex, tail: float = COHERENT_TAIL_TOL) -> int:
     """Smallest cutoff whose Poisson tail P(n > cutoff) is below `tail`."""
     mean = abs(alpha) ** 2
     cutoff = max(int(mean), 0)
-    while poisson.sf(cutoff, mean) >= tail:
+    while pdtrc(cutoff, mean) >= tail:
         cutoff += 1
     return cutoff
 
@@ -112,7 +112,7 @@ def coherent_truncated(alpha: complex, cutoff: int) -> PureState:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    if poisson.sf(cutoff, abs(alpha) ** 2) >= COHERENT_TAIL_TOL:
+    if pdtrc(cutoff, abs(alpha) ** 2) >= COHERENT_TAIL_TOL:
         raise ValueError(
             f"cutoff {cutoff} keeps a Poisson tail >= {COHERENT_TAIL_TOL} "
             f"for |alpha|^2 = {abs(alpha) ** 2:.6g}"

@@ -390,6 +390,20 @@ class TestMain:
         assert main(["run", "--config", str(config_path), "--output", str(target)]) == 1
         assert "cannot write" in capsys.readouterr().err
 
+    def test_runner_exception_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def failing(params, rng):
+            raise ValueError("bad " * 2000 + "\nsecond line")
+
+        monkeypatch.setitem(SCENARIOS, "noon-scaling", (failing, *SCENARIOS["noon-scaling"][1:]))
+        config_path = write_config(tmp_path, {"scenario": "noon-scaling"})
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", str(config_path), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: scenario noon-scaling failed")
+        assert "ValueError" in lines[0] and len(lines[0]) <= 200
+        assert captured.out == "" and not out.exists()
+
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out

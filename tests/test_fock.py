@@ -209,13 +209,12 @@ class TestStates:
         with pytest.raises(ValueError):
             MixedState(basis, [[1.5, 0], [0, -0.5]])  # negative eigenvalue
 
-    @pytest.mark.parametrize("check_psd", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_mixed_state_rejects_non_finite(self, bad, check_psd):
+    def test_mixed_state_rejects_non_finite(self, bad):
         basis = build_basis(1, 1)
         for matrix in (np.full((2, 2), bad), np.diag([bad, 1.0])):
             with pytest.raises(ValueError):
-                MixedState(basis, matrix, check_psd=check_psd)
+                MixedState(basis, matrix)
 
     def test_expand_cutoff_preserves_amplitudes(self):
         state = noon(3)
@@ -298,7 +297,7 @@ def random_state_of_kind(rng, basis, mixed):
     rank = int(rng.integers(1, basis.dim + 1))
     g = rng.standard_normal((basis.dim, rank)) + 1j * rng.standard_normal((basis.dim, rank))
     rho = g @ g.conj().T
-    return MixedState(basis, rho / np.trace(rho).real, check_psd=False)
+    return MixedState(basis, rho / np.trace(rho).real)
 
 
 @given(

@@ -63,7 +63,7 @@ def bures_qfi(rho, generator, eps=2e-2):
 
     def at(step):
         u = (v * np.exp(1j * step * w)) @ v.conj().T
-        shifted = MixedState(rho.basis, u @ rho.matrix @ u.conj().T, check_psd=False)
+        shifted = MixedState(rho.basis, u @ rho.matrix @ u.conj().T)
         f = fidelity(rho, shifted)
         return 8.0 * (1.0 - math.sqrt(f)) / step**2
 
@@ -155,11 +155,6 @@ class TestQfiMixed:
 
     def test_rejects_non_psd(self):
         basis = build_basis(1, 1)
-        mat = np.array([[1.0 + 1e-8, 0], [0, -1e-8]], dtype=complex)
-        rho = MixedState(basis, mat, check_psd=False)
-        gen = number_op(basis, 0)
-        with pytest.raises(ValueError):
-            qfi_mixed(rho, gen)
         with pytest.raises(ValueError):
             MixedState(basis, np.diag([1.5, -0.5]).astype(complex))
 
@@ -284,7 +279,7 @@ class TestFisherInformation:
             if case % 2:  # alternate pure and genuinely mixed probes
                 dim = state.basis.dim
                 blend = 0.8 * state.density_matrix() + 0.2 * np.eye(dim) / dim
-                probe = MixedState(state.basis, blend, check_psd=False)
+                probe = MixedState(state.basis, blend)
                 qfi = qfi_mixed(probe, gen).qfi
             else:
                 probe = state
@@ -310,7 +305,7 @@ class TestFisherInformation:
         gen = schwinger_j(state.basis, axis)
         dim = state.basis.dim
         blend = purity * state.density_matrix() + (1.0 - purity) * np.eye(dim) / dim
-        probe = MixedState(state.basis, blend, check_psd=False)
+        probe = MixedState(state.basis, blend)
         povm = random_projective_povm(rng, dim)
         mixed_fi = fisher_information(probe, gen, povm, kappa0=kappa0)
         assert mixed_fi <= qfi_mixed(probe, gen).qfi + 1e-6

@@ -414,6 +414,25 @@ class TestWrappers:
         with pytest.raises(TypeError):
             1j * n
 
+    @pytest.mark.parametrize(
+        "scalar", [2 + 0j, np.complex128(2), np.complex64(2)], ids=["complex", "c128", "c64"]
+    )
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
+    def test_hermitian_op_scales_by_real_complex(self, scalar, diagonal):
+        basis = build_basis(2, 2)
+        op = schwinger_j(basis, PairAxis(0, 1, **(Z_AXIS if diagonal else X_AXIS)))
+        np.testing.assert_array_equal((op * scalar).matrix, (2.0 * op).matrix)
+
+    @pytest.mark.parametrize(
+        "scalar",
+        [1j, 2 + 1e-3j, np.complex128(1j), np.complex64(1j)],
+        ids=["1j", "2+1e-3j", "c128", "c64"],
+    )
+    def test_hermitian_op_rejects_imaginary_scalar(self, scalar):
+        op = schwinger_j(build_basis(2, 2), PairAxis(0, 1, **X_AXIS))
+        with pytest.raises(TypeError):
+            op * scalar
+
     def test_unitary_op_rejects_non_unitary(self):
         basis = build_basis(1, 1)
         with pytest.raises(ValueError):
@@ -436,7 +455,7 @@ def random_mixed(basis, seed):
         (basis.dim, basis.dim)
     )
     rho = g @ g.conj().T
-    return MixedState(basis, rho / np.trace(rho).real, check_psd=False)
+    return MixedState(basis, rho / np.trace(rho).real)
 
 
 class TestDiagonalForm:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import metrolab
 from metrolab import (
     PairAxis,
     build_basis,
@@ -358,3 +362,16 @@ def test_factories_normalized_in_fixed_sector(factory):
 def test_profiles_reject_non_finite(factory, bad):
     with pytest.raises(ValueError):
         factory(bad)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(metrolab.__file__)))
+    code = "import sys, metrolab; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

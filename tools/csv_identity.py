@@ -32,7 +32,8 @@ SCENARIOS = (
 
 # The six scenarios at their defaults, plus the larger or less common
 # paths: the oracle and the NOON sweep at the n_total cap, a 3-mode basis
-# of dim 1771, caller-given zeta coefficients and the correlated lossy probe.
+# of dim 1771, caller-given zeta coefficients, the correlated lossy probe
+# and the NOON lossy probe at n_total 8 with the loss on mode 2.
 CONFIGS = {name: {"scenario": name} for name in SCENARIOS}
 CONFIGS.update({
     "variance-oracle-n60": {"scenario": "variance-oracle", "params": {"n_max": 60}},
@@ -45,6 +46,10 @@ CONFIGS.update({
     "lossy-sweep-correlated-n10": {
         "scenario": "lossy-sweep",
         "params": {"n_total": 10, "probe": "correlated"},
+    },
+    "lossy-sweep-noon-n8-mode2": {
+        "scenario": "lossy-sweep",
+        "params": {"n_total": 8, "probe": "noon", "probe_mode": 2},
     },
 })
 
