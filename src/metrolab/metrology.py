@@ -89,7 +89,7 @@ class Povm:
 def projective_povm(vectors: np.ndarray) -> Povm:
     """Rank-1 POVM onto the columns of a square `vectors`, checked once to be orthonormal."""
     v = np.asarray(vectors, dtype=complex)
-    square = v.ndim == 2 and v.shape[0] == v.shape[1] and v.size
+    square = v.ndim == 2 and v.shape[0] == v.shape[1] > 0
     if not (square and _unitarity_residual(v) <= POVM_ATOL):
         raise ValueError(f"vectors of shape {v.shape} are not an orthonormal basis within 1e-10")
     return _exact(Povm, elements=tuple(np.outer(c, c.conj()) for c in v.T))
