@@ -50,6 +50,9 @@ class PairAxis:
             raise ValueError("pair modes must differ")
         if self.i < 0 or self.j < 0:
             raise ValueError("mode indices must be non-negative")
+        for name, angle in (("beta", self.beta), ("phi", self.phi)):
+            if not math.isfinite(angle):
+                raise ValueError(f"axis angle {name} must be finite, got {angle}")
         nz = math.cos(self.beta)
         nx = math.sin(self.beta) * math.cos(self.phi)
         ny = math.sin(self.beta) * math.sin(self.phi)
@@ -197,16 +200,22 @@ def creation(basis: FockBasis, mode: int) -> np.ndarray:
     return annihilation(basis, mode).conj().T
 
 
-def _hopping(basis: FockBasis, i: int, j: int) -> np.ndarray:
-    """Matrix of ai† aj (i != j); conserves total photon number."""
+def _hopping_entries(basis: FockBasis, i: int, j: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, amplitudes) of the nonzeros of ai† aj (i != j), one per column."""
     occ = basis.occupations()
     cols = np.nonzero(occ[:, j] > 0)[0]
     target = occ[cols]
     amp = np.sqrt((target[:, i] + 1) * target[:, j])
     target[:, i] += 1
     target[:, j] -= 1
+    return basis.rank(target), cols, amp
+
+
+def _hopping(basis: FockBasis, i: int, j: int) -> np.ndarray:
+    """Matrix of ai† aj (i != j); conserves total photon number."""
+    rows, cols, amp = _hopping_entries(basis, i, j)
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    mat[basis.rank(target), cols] = amp
+    mat[rows, cols] = amp
     return mat
 
 
@@ -226,20 +235,24 @@ def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
     """Angular-momentum component J_n on a mode pair along `pair`'s axis.
 
     Along z (no x or y component) it is diagonal and kept as weights.
+    Otherwise each column holds at most three nonzeros, the diagonal and
+    one ai† aj and one aj† ai entry, written into one zeroed matrix.
     """
     i = _check_mode(basis, pair.i)
     j = _check_mode(basis, pair.j)
     nz, nx, ny = pair.direction()
     occ = basis.occupations()
-    mat = nz * (occ[:, i] - occ[:, j]) / 2.0
+    diag = nz * (occ[:, i] - occ[:, j]) / 2.0
     label = f"J[beta={pair.beta:.6g},phi={pair.phi:.6g}]({i},{j})"
     if abs(nx) > _AXIS_TOL or abs(ny) > _AXIS_TOL:
-        hop = _hopping(basis, i, j)
-        mat = np.diag(mat).astype(complex)
-        mat += (nx / 2.0) * (hop + hop.conj().T)
-        mat += (ny / 2.0) * 1j * (hop.conj().T - hop)
+        rows, cols, amp = _hopping_entries(basis, i, j)
+        amp = amp.astype(complex)
+        mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+        np.fill_diagonal(mat, diag)
+        mat[rows, cols] = (nx / 2.0) * amp + ((ny / 2.0) * 1j) * -amp
+        mat[cols, rows] = (nx / 2.0) * amp + ((ny / 2.0) * 1j) * amp
         return _exact(HermitianOp, basis=basis, weights=None, _matrix=mat, label=label)
-    return HermitianOp(basis, mat, label=label)
+    return HermitianOp(basis, diag, label=label)
 
 
 def _exp_i(basis: FockBasis, h: np.ndarray, phase_of) -> np.ndarray:

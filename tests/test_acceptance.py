@@ -301,3 +301,21 @@ def test_c12_zeta_optimize_at_the_cap_budget(tmp_path, monkeypatch):
     assert len(rows) == 64
     assert elapsed < 3.0, f"zeta-optimize at n_total=26 took {elapsed:.1f}s"
     report(12, "zeta-optimize at n_total=26 (dim 3654), 64 grid points, under 3 s")
+
+
+def test_c13_variance_oracle_at_n_max_60_budget(tmp_path, monkeypatch):
+    monkeypatch.delenv("METROLAB_MAX_DIM", raising=False)
+    doc = json.dumps({"scenario": "variance-oracle", "params": {"n_max": 60, "seed": 13}})
+    config = validate_config(doc)
+    config.output_path = str(tmp_path / "oracle.csv")
+    stream = io.StringIO()
+    start = time.perf_counter()
+    assert run_scenario(config, stream=stream) == 0
+    elapsed = time.perf_counter() - start
+    lines = (tmp_path / "oracle.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1].split(",")[-1] == "abs_diff"
+    rows = lines[2:]
+    assert len(rows) == 200
+    assert max(float(row.split(",")[-1]) for row in rows) <= 1e-10
+    assert elapsed < 3.0, f"variance-oracle at n_max=60 took {elapsed:.1f}s"
+    report(13, "variance-oracle at n_max=60 (dims up to 1891), 200 cases within 1e-10, under 3 s")

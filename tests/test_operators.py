@@ -1,10 +1,11 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from metrolab import (
@@ -27,10 +28,11 @@ from metrolab import (
     schwinger_j,
     spin_squeeze_unitary,
     total_number_op,
+    two_mode_fixed_n,
     variance,
     weighted_number,
 )
-from metrolab.operators import _exp_i, _hopping
+from metrolab.operators import _AXIS_TOL, _exp_i, _hopping
 
 X_AXIS = dict(beta=math.pi / 2, phi=0.0)
 Y_AXIS = dict(beta=math.pi / 2, phi=math.pi / 2)
@@ -38,6 +40,7 @@ Z_AXIS = dict(beta=0.0, phi=0.0)
 LADDER_BASES = [(1, 6), (2, 5), (3, 4), (4, 3), (5, 2)]
 
 angles = st.floats(-2 * math.pi, 2 * math.pi)
+seeds = st.integers(0, 2**32 - 1)
 
 
 @st.composite
@@ -93,6 +96,15 @@ class TestPairAxis:
         a = PairAxis(0, 1, beta=math.pi / 2, phi=0.5)
         b = PairAxis(0, 1, beta=math.pi / 2, phi=0.5 + 2 * math.pi)
         assert np.isclose(a.phi, b.phi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["beta", "phi"])
+    def test_rejects_non_finite_angles(self, name, bad):
+        angles = {"beta": 1.0, "phi": 0.5, name: bad}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"axis angle {name} must be finite"):
+                PairAxis(0, 1, **angles)
 
 
 class TestLadder:
@@ -224,6 +236,50 @@ class TestSchwinger:
     def test_rejects_equal_pair_via_axis(self):
         with pytest.raises(ValueError):
             schwinger_j(build_basis(2, 2), PairAxis(0, 0))
+
+
+def reference_j(basis, pair):
+    """Off-axis J_n summed from dense loop_hopping matrices, as the dense build did."""
+    nz, nx, ny = pair.direction()
+    occ = basis.occupations()
+    hop = loop_hopping(basis, pair.i, pair.j)
+    diag = np.diag(nz * (occ[:, pair.i] - occ[:, pair.j]) / 2.0).astype(complex)
+    return diag + (nx / 2.0) * (hop + hop.conj().T) + (ny / 2.0) * 1j * (hop.conj().T - hop)
+
+
+@st.composite
+def off_axis_angles(draw):
+    """(beta, phi) drawn at random, in the xy-plane, or just off a pole."""
+    kind = draw(st.sampled_from(["random", "planar", "near-pole"]))
+    if kind == "random":
+        return draw(st.floats(0, math.pi)), draw(st.floats(0, 2 * math.pi))
+    if kind == "planar":
+        return math.pi / 2, draw(st.floats(0, 2 * math.pi))
+    eps = draw(st.floats(2 * _AXIS_TOL, 10 * _AXIS_TOL))
+    beta = draw(st.sampled_from([eps, math.pi - eps]))
+    return beta, draw(st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]))
+
+
+class TestScatterBuild:
+    """Off-axis schwinger_j, scattered, against the dense sum of loop_hopping."""
+
+    @given(st.integers(2, 4), st.integers(0, 6), st.data(), off_axis_angles(), seeds)
+    def test_matches_the_dense_sum_bit_for_bit(self, num_modes, n_total, data, angles, seed):
+        basis = build_basis(num_modes, n_total)
+        i, j = data.draw(st.permutations(range(num_modes)))[:2]
+        pair = PairAxis(i, j, beta=angles[0], phi=angles[1])
+        _, nx, ny = pair.direction()
+        assume(abs(nx) > _AXIS_TOL or abs(ny) > _AXIS_TOL)
+        op = schwinger_j(basis, pair)
+        assert op.weights is None
+        assert np.array_equal(op.matrix, reference_j(basis, pair))
+        assert not op.matrix.flags.writeable
+        HermitianOp(basis, op.matrix)  # the public hermiticity check
+        raw = np.random.default_rng(seed).standard_normal((2, n_total + 1))
+        state = two_mode_fixed_n((raw[0] + 1j * raw[1]) / np.linalg.norm(raw), n_total)
+        pair2 = PairAxis(*((0, 1) if i < j else (1, 0)), beta=angles[0], phi=angles[1])
+        reference = HermitianOp(state.basis, reference_j(state.basis, pair2))
+        assert variance(state, schwinger_j(state.basis, pair2)) == variance(state, reference)
 
 
 class TestRotation:
@@ -446,7 +502,6 @@ class TestWrappers:
 
 
 small_bases = st.builds(build_basis, st.integers(1, 4), st.integers(0, 5))
-seeds = st.integers(0, 2**32 - 1)
 
 
 def random_mixed(basis, seed):

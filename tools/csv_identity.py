@@ -7,8 +7,9 @@ exported with ``git archive`` into a temporary directory; the working
 tree at the root of the checkout, uncommitted edits included, is the
 other side.  Each side runs ``metrolab list-scenarios`` and the configs
 in CONFIGS, loading metrolab from its own ``src/``, and the exit status,
-stdout and CSV bytes are compared.  Prints one line per run and exits 1
-if any run differs or fails on either side, 0 if all are identical.
+stdout and CSV bytes are compared.  Prints one line per run, with each
+side's wall time, and exits 1 if any run differs or fails on either
+side, 0 if all are identical.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 SCENARIOS = (
     "cat-vs-noon",
@@ -33,10 +35,16 @@ SCENARIOS = (
 # The six scenarios at their defaults, plus the larger or less common
 # paths: the oracle and the NOON sweep at the n_total cap, a 3-mode basis
 # of dim 1771, caller-given zeta coefficients, the correlated lossy probe
-# and the NOON lossy probe at n_total 8 with the loss on mode 2.
+# and the NOON lossy probe at n_total 8 with the loss on mode 2.  The
+# off-axis J_n build is also run on 400 oracle axes and on the lossy
+# coupling of pair (1, 3) at dim 1820.
 CONFIGS = {name: {"scenario": name} for name in SCENARIOS}
 CONFIGS.update({
     "variance-oracle-n60": {"scenario": "variance-oracle", "params": {"n_max": 60}},
+    "variance-oracle-n60-400-seed11": {
+        "scenario": "variance-oracle",
+        "params": {"n_max": 60, "num_cases": 400, "seed": 11},
+    },
     "noon-scaling-n60": {"scenario": "noon-scaling", "params": {"n_values": list(range(1, 61))}},
     "zeta-optimize-n20": {"scenario": "zeta-optimize", "params": {"n_total": 20}},
     "zeta-optimize-coeffs": {
@@ -51,6 +59,10 @@ CONFIGS.update({
         "scenario": "lossy-sweep",
         "params": {"n_total": 8, "probe": "noon", "probe_mode": 2},
     },
+    "lossy-sweep-correlated-n12-mode1": {
+        "scenario": "lossy-sweep",
+        "params": {"n_total": 12, "probe": "correlated", "probe_mode": 1},
+    },
 })
 
 
@@ -64,12 +76,14 @@ def _export(root: str, ref: str, dest: str) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _run(tree: str, work: str, argv: list[str]) -> tuple[int, bytes, bytes]:
-    """(exit status, stdout, CSV bytes) of one metrolab command run in `work`."""
+def _run(tree: str, work: str, argv: list[str]) -> tuple[int, bytes, bytes, float]:
+    """(exit status, stdout, CSV bytes, wall seconds) of one metrolab command run in `work`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "metrolab", *argv], cwd=work, env=env, capture_output=True
     )
+    wall = time.perf_counter() - start
     csv_path = os.path.join(work, "out.csv")
     csv = b""
     if os.path.exists(csv_path):
@@ -78,7 +92,7 @@ def _run(tree: str, work: str, argv: list[str]) -> tuple[int, bytes, bytes]:
         os.remove(csv_path)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr.decode(errors="replace"))
-    return proc.returncode, proc.stdout, csv
+    return proc.returncode, proc.stdout, csv, wall
 
 
 def main(args: list[str]) -> int:
@@ -108,7 +122,8 @@ def main(args: list[str]) -> int:
             if ref[0] or new[0]:
                 parts.append(f"exit {ref[0]} vs {new[0]}")
             failed += bool(parts)
-            print(f"{name}: {'DIFFERENT (' + ', '.join(parts) + ')' if parts else 'identical'}")
+            verdict = "DIFFERENT (" + ", ".join(parts) + ")" if parts else "identical"
+            print(f"{name}: {verdict} [{args[0]} {ref[3]:.2f}s, worktree {new[3]:.2f}s]")
     return 1 if failed else 0
 
 
