@@ -14,6 +14,7 @@ eigendecompositions stay practical up to dimension ~4096.
 from __future__ import annotations
 
 import math
+import reprlib
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -23,6 +24,26 @@ NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
+
+
+def _arg(name: str, value, lo=-math.inf, hi=math.inf, kind=float):
+    """`kind(value)` for a finite real `value` in [lo, hi]; otherwise a ValueError naming `name`.
+
+    With kind=int the value must also be integral (numpy integers pass).
+    The bounds are compared before any float(), so an integer too large
+    for a float is out of range, not an overflow.  The error echoes the
+    value through reprlib, so it stays short however large the value is.
+    """
+    try:
+        ok = lo <= value <= hi and math.isfinite(value) and value == kind(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        whole = "integral and " if kind is int else ""
+        raise ValueError(
+            f"{name} must be finite, {whole}in [{lo}, {hi}], got {reprlib.repr(value)}"
+        )
+    return kind(value)
 
 
 def _compositions(total: int, parts: int):
@@ -47,12 +68,8 @@ class FockBasis:
     __slots__ = ("num_modes", "n_total", "dim", "_offsets", "_occ_table", "_pascal_table")
 
     def __init__(self, num_modes: int, n_total: int):
-        num_modes = int(num_modes)
-        n_total = int(n_total)
-        if num_modes < 1:
-            raise ValueError(f"num_modes must be >= 1, got {num_modes}")
-        if n_total < 0:
-            raise ValueError(f"n_total must be >= 0, got {n_total}")
+        num_modes = _arg("num_modes", num_modes, 1, kind=int)
+        n_total = _arg("n_total", n_total, 0, kind=int)
         self.num_modes = num_modes
         self.n_total = n_total
         # _offsets[s] = number of states with total photon number < s
@@ -85,8 +102,7 @@ class FockBasis:
         occupation of mode 0, so index ``sector_slice(s).start + n``
         is the state ``|n, s - n>``.
         """
-        if not 0 <= s <= self.n_total:
-            raise ValueError(f"sector {s} outside 0..{self.n_total}")
+        s = _arg("sector", s, 0, self.n_total, kind=int)
         return slice(self._offsets[s], self._offsets[s + 1])
 
     def _pascal(self) -> np.ndarray:
@@ -140,9 +156,7 @@ class FockBasis:
 
     def unrank(self, index: int) -> tuple:
         """Occupation vector at a given index; inverse of :meth:`rank`."""
-        index = int(index)
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside 0..{self.dim - 1}")
+        index = _arg("index", index, 0, self.dim - 1, kind=int)
         return tuple(self.occupations()[index].tolist())
 
     def occupations(self) -> np.ndarray:
@@ -217,8 +231,7 @@ class PureState:
 
     def expand_cutoff(self, n_total: int) -> "PureState":
         """Same state re-indexed on a basis with a larger cutoff."""
-        if n_total < self.basis.n_total:
-            raise ValueError("expand_cutoff cannot shrink the cutoff")
+        n_total = _arg("n_total", n_total, self.basis.n_total, kind=int)
         target = build_basis(self.basis.num_modes, n_total)
         amp = np.zeros(target.dim, dtype=complex)
         amp[target.rank(self.basis.occupations())] = self.amplitudes
@@ -333,11 +346,9 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
     preserved exactly up to roundoff.
     """
     basis = state.basis
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_arg("keep mode", k, 0, basis.num_modes - 1, kind=int) for k in keep))
     if not keep:
         raise ValueError("keep must contain at least one mode")
-    if keep[0] < 0 or keep[-1] >= basis.num_modes:
-        raise ValueError(f"keep modes {keep} outside 0..{basis.num_modes - 1}")
     traced = [m for m in range(basis.num_modes) if m not in keep]
 
     if not traced:

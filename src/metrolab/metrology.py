@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .fock import (
-    MixedState, PureState, State, _as_density, _check_same_basis, _exact, _hermiticity_residual
+    MixedState, PureState, State, _arg, _as_density, _check_same_basis, _exact,
+    _hermiticity_residual,
 )
 from .operators import HermitianOp, _exp_i, _unitarity_residual, quadrature_p
 
@@ -45,9 +46,7 @@ class QFIReport:
 def _report(qfi: float, label: str, nu: int | None) -> QFIReport:
     crb = None
     if nu is not None:
-        nu = int(nu)
-        if nu < 1:
-            raise ValueError("nu must be >= 1")
+        nu = _arg("nu", nu, 1, kind=int)
         delta = 1.0 / math.sqrt(nu * qfi) if qfi > 0 else math.inf
         crb = CramerRaoBound(nu=nu, delta=delta)
     return QFIReport(qfi=qfi, generator_label=label, crb=crb)
@@ -62,7 +61,7 @@ class Povm:
         elems = [np.asarray(e, dtype=complex) for e in elements]
         if not elems:
             raise ValueError("POVM needs at least one element")
-        dim = elems[0].shape[0]
+        dim = max([1, *elems[0].shape[-1:]])  # a scalar or empty element fails the shape check
         total = np.zeros((dim, dim), dtype=complex)
         for k, e in enumerate(elems):
             if e.shape != (dim, dim):
@@ -137,6 +136,20 @@ def qfi_pure(state: PureState, generator: HermitianOp, nu: int | None = None) ->
     return _report(4.0 * variance(state, generator), generator.label, nu)
 
 
+def _eigenframe(rho: np.ndarray, h: np.ndarray, eigenvalue_floor: float):
+    """(vecs, H in rho's eigenbasis, p_k + p_l, p_k - p_l, mask p_k + p_l > eigenvalue_floor).
+
+    `vecs` are rho's eigenvectors and p its eigenvalues clipped at zero.
+    """
+    floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
+    lam, vecs = np.linalg.eigh(rho)
+    lam = np.clip(lam, 0.0, None)
+    h = vecs.conj().T @ h @ vecs
+    sums = lam[:, None] + lam[None, :]
+    diffs = lam[:, None] - lam[None, :]
+    return vecs, h, sums, diffs, sums > floor
+
+
 def qfi_mixed(
     rho: MixedState,
     generator: HermitianOp,
@@ -150,14 +163,7 @@ def qfi_mixed(
     4 Var(H) on rank-1 input.
     """
     _check_same_basis(rho, generator)
-    if eigenvalue_floor < 0:
-        raise ValueError("eigenvalue_floor must be >= 0")
-    lam, vecs = np.linalg.eigh(rho.matrix)
-    lam = np.clip(lam, 0.0, None)
-    h = vecs.conj().T @ generator.matrix @ vecs
-    sums = lam[:, None] + lam[None, :]
-    diffs = lam[:, None] - lam[None, :]
-    mask = sums > eigenvalue_floor
+    _, h, sums, diffs, mask = _eigenframe(rho.matrix, generator.matrix, eigenvalue_floor)
     weights = np.zeros_like(sums)
     weights[mask] = diffs[mask] ** 2 / sums[mask]
     qfi = 2.0 * float(np.sum(weights * np.abs(h) ** 2))
@@ -174,6 +180,8 @@ def jn_variance_closed_form(
     coherences, each carrying sqrt((n+1)(N-n))-type ladder weights.
     Validated against the operator computation; see the test suite.
     """
+    n_total = _arg("n_total", n_total, 0, kind=int)
+    beta, phi = _arg("beta", beta), _arg("phi", phi)
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.shape != (n_total + 1,):
         raise ValueError(f"expected {n_total + 1} coefficients, got {c.shape}")
@@ -229,9 +237,8 @@ def displacement_bound(state: State, nu: int = 1, tail_tol: float = 1e-10) -> fl
     """
     if state.basis.num_modes != 1:
         raise ValueError("displacement_bound expects a single-mode state")
-    nu = int(nu)
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
+    nu = _arg("nu", nu, 1, kind=int)
+    tail_tol = _arg("tail_tol", tail_tol, 0.0)
     masses = state.sector_masses()
     boundary = float(masses[max(0, state.basis.n_total - 1) :].sum())
     if state.basis.n_total < 2 or boundary > tail_tol:
@@ -269,8 +276,8 @@ def fisher_information(
     _check_same_basis(state, generator)
     if povm.dim != state.basis.dim:
         raise ValueError("POVM dimension does not match the state")
-    if dkappa <= 0:
-        raise ValueError("dkappa must be positive")
+    kappa0 = _arg("kappa0", kappa0)
+    dkappa = _arg("dkappa", dkappa, math.ulp(0.0))  # the least positive float: dkappa > 0
     rho = _as_density(state)
     h = generator.matrix
 
@@ -321,18 +328,12 @@ def optimal_povm(
     arbitrary and does not affect the information.
     """
     _check_same_basis(state, generator)
-    rho = _as_density(state)
+    kappa0 = _arg("kappa0", kappa0)
     u = _exp_i(state.basis, generator.matrix, lambda w: kappa0 * w)
-    rho_k = u @ rho @ u.conj().T
-    lam, vecs = np.linalg.eigh(rho_k)
-    lam = np.clip(lam, 0.0, None)
-    drho = 1j * (generator.matrix @ rho_k - rho_k @ generator.matrix)
-    g = vecs.conj().T @ drho @ vecs
-    sums = lam[:, None] + lam[None, :]
-    sld_eig = np.zeros_like(g)
-    mask = sums > eigenvalue_floor
-    sld_eig[mask] = 2.0 * g[mask] / sums[mask]
-    sld = vecs @ sld_eig @ vecs.conj().T
-    sld = (sld + sld.conj().T) / 2
+    rho_k = u @ _as_density(state) @ u.conj().T
+    vecs, h, sums, diffs, mask = _eigenframe(rho_k, generator.matrix, eigenvalue_floor)
+    # <k|L|l> = 2 <k|i[H, rho]|l> / (p_k + p_l) = -2i (p_k - p_l) H_kl / (p_k + p_l)
+    sld = np.zeros_like(h)
+    sld[mask] = -2j * diffs[mask] * h[mask] / sums[mask]
     _, w = np.linalg.eigh(sld)
-    return projective_povm(w)
+    return projective_povm(vecs @ w)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    HERMITICITY_ATOL, FockBasis, PureState, _check_same_basis, _exact, _hermiticity_residual
+    HERMITICITY_ATOL, FockBasis, PureState, _arg, _check_same_basis, _exact, _hermiticity_residual
 )
 
 UNITARITY_ATOL = 1e-10
@@ -46,21 +46,20 @@ class PairAxis:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.i == self.j:
+        i = _arg("mode i", self.i, 0, kind=int)
+        j = _arg("mode j", self.j, 0, kind=int)
+        if i == j:
             raise ValueError("pair modes must differ")
-        if self.i < 0 or self.j < 0:
-            raise ValueError("mode indices must be non-negative")
-        for name, angle in (("beta", self.beta), ("phi", self.phi)):
-            if not math.isfinite(angle):
-                raise ValueError(f"axis angle {name} must be finite, got {angle}")
-        nz = math.cos(self.beta)
-        nx = math.sin(self.beta) * math.cos(self.phi)
-        ny = math.sin(self.beta) * math.sin(self.phi)
+        beta = _arg("axis angle beta", self.beta)
+        phi = _arg("axis angle phi", self.phi)
+        nz = math.cos(beta)
+        nx = math.sin(beta) * math.cos(phi)
+        ny = math.sin(beta) * math.sin(phi)
         planar = math.hypot(nx, ny)
         beta = math.atan2(planar, nz)
         phi = math.atan2(ny, nx) % (2 * math.pi) if planar > _AXIS_TOL else 0.0
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "phi", phi)
+        for name, value in (("i", i), ("j", j), ("beta", beta), ("phi", phi)):
+            object.__setattr__(self, name, value)
 
     def direction(self) -> tuple[float, float, float]:
         """Unit direction as (z, x, y) components."""
@@ -177,10 +176,7 @@ def _unitarity_residual(mat: np.ndarray) -> float:
 
 
 def _check_mode(basis: FockBasis, mode: int) -> int:
-    mode = int(mode)
-    if not 0 <= mode < basis.num_modes:
-        raise ValueError(f"mode {mode} outside 0..{basis.num_modes - 1}")
-    return mode
+    return _arg("mode", mode, 0, basis.num_modes - 1, kind=int)
 
 
 def annihilation(basis: FockBasis, mode: int) -> np.ndarray:
@@ -209,14 +205,6 @@ def _hopping_entries(basis: FockBasis, i: int, j: int) -> tuple[np.ndarray, ...]
     target[:, i] += 1
     target[:, j] -= 1
     return basis.rank(target), cols, amp
-
-
-def _hopping(basis: FockBasis, i: int, j: int) -> np.ndarray:
-    """Matrix of ai† aj (i != j); conserves total photon number."""
-    rows, cols, amp = _hopping_entries(basis, i, j)
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    mat[rows, cols] = amp
-    return mat
 
 
 def number_op(basis: FockBasis, mode: int) -> HermitianOp:
@@ -272,8 +260,7 @@ def _exp_i(basis: FockBasis, h: np.ndarray, phase_of) -> np.ndarray:
 
 def rotation_unitary(basis: FockBasis, pair: PairAxis, angle: float) -> UnitaryOp:
     """exp(i * angle * J_n) computed exactly via eigendecomposition."""
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle}")
+    angle = _arg("rotation angle", angle)
     h = schwinger_j(basis, pair)
     mat = _exp_i(basis, h.matrix, lambda w: angle * w)
     return _exact(UnitaryOp, basis=basis, matrix=mat, label=f"exp(i*{angle:.6g}*{h.label})")
@@ -281,8 +268,7 @@ def rotation_unitary(basis: FockBasis, pair: PairAxis, angle: float) -> UnitaryO
 
 def spin_squeeze_unitary(basis: FockBasis, pair: PairAxis, gamma: float) -> UnitaryOp:
     """exp(i * gamma * J_n^2), the one-axis-twisting gate."""
-    if not math.isfinite(gamma):
-        raise ValueError(f"twisting strength must be finite, got {gamma}")
+    gamma = _arg("twisting strength gamma", gamma)
     h = schwinger_j(basis, pair)
     mat = _exp_i(basis, h.matrix, lambda w: gamma * w**2)
     return _exact(UnitaryOp, basis=basis, matrix=mat, label=f"exp(i*{gamma:.6g}*{h.label}^2)")
@@ -308,6 +294,7 @@ def weighted_number(basis: FockBasis, zeta: float) -> tuple[HermitianOp, Hermiti
     """
     if basis.num_modes < 2:
         raise ValueError("weighted_number needs at least 2 modes")
+    zeta = _arg("zeta", zeta)
     occ = basis.occupations()
     n0 = occ[:, 0].astype(float)
     n1 = occ[:, 1].astype(float)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import MixedState, PureState, State, partial_trace
+from .fock import MixedState, PureState, State, _arg, partial_trace
 from .operators import PairAxis, rotation_unitary, weighted_number
 from .metrology import variance
 
@@ -65,9 +65,7 @@ def number_covariance(state: State, modes: Sequence[int] | None = None) -> np.nd
     basis = state.basis
     if modes is None:
         modes = range(basis.num_modes)
-    modes = [int(m) for m in modes]
-    if any(m < 0 or m >= basis.num_modes for m in modes):
-        raise ValueError(f"modes {modes} outside 0..{basis.num_modes - 1}")
+    modes = [_arg("mode", m, 0, basis.num_modes - 1, kind=int) for m in modes]
     if isinstance(state, PureState):
         probs = np.abs(state.amplitudes) ** 2
     else:
@@ -139,6 +137,8 @@ def estimated_parameter(zeta: float, theta13: float, theta23: float) -> float:
     Requires (theta13, theta23) parallel to (cos(zeta), sin(zeta)) within
     1e-10; at zeta = pi/4 this returns (theta13 + theta23) / sqrt(2).
     """
+    zeta = _arg("zeta", zeta)
+    theta13, theta23 = _arg("theta13", theta13), _arg("theta23", theta23)
     c, s = math.cos(zeta), math.sin(zeta)
     theta = theta13 / c if abs(c) >= abs(s) else theta23 / s
     if abs(theta13 - theta * c) > _CONSISTENCY_ATOL or abs(theta23 - theta * s) > _CONSISTENCY_ATOL:
@@ -171,12 +171,10 @@ def lossy_probe(
     """
     if state.basis.num_modes != 4:
         raise ValueError("lossy_probe expects a four-mode state")
-    probe_mode = int(probe_mode)
-    if probe_mode not in (0, 1, 2):
-        raise ValueError("probe_mode must be one of the probe modes 0, 1, 2")
+    probe_mode = _arg("probe_mode", probe_mode, 0, 2, kind=int)
     beta, phi = _axis_angles(axis)
     pair = PairAxis(probe_mode, 3, beta=beta, phi=phi)
-    coupled = rotation_unitary(state.basis, pair, kappa).apply(state)
+    coupled = rotation_unitary(state.basis, pair, _arg("kappa", kappa)).apply(state)
     return partial_trace(coupled, keep=(0, 1, 2))
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import pdtrc
 
-from .fock import NORM_ATOL, PureState, build_basis
+from .fock import NORM_ATOL, PureState, _arg, build_basis
 from .operators import PairAxis, rotation_unitary
 
 COHERENT_TAIL_TOL = 1e-12
@@ -36,6 +36,7 @@ def two_mode_fixed_n(coeffs: Sequence[complex], n_total: int) -> PureState:
     `coeffs` must have length N+1 and unit norm; the output occupies only
     the fixed-N sector.
     """
+    n_total = _arg("n_total", n_total, 0, kind=int)
     c = _checked_profile(coeffs, n_total + 1)
     basis = build_basis(2, n_total)
     amp = np.zeros(basis.dim, dtype=complex)
@@ -45,8 +46,7 @@ def two_mode_fixed_n(coeffs: Sequence[complex], n_total: int) -> PureState:
 
 def noon(n_total: int) -> PureState:
     """(|N,0> + |0,N>) / sqrt(2)."""
-    if n_total < 1:
-        raise ValueError("noon requires n_total >= 1")
+    n_total = _arg("n_total", n_total, 1, kind=int)
     c = np.zeros(n_total + 1, dtype=complex)
     c[0] = c[n_total] = 1 / math.sqrt(2)
     return two_mode_fixed_n(c, n_total)
@@ -60,11 +60,10 @@ def rotated_fock(n_total: int, theta: float, phi: float = 0.0) -> PureState:
     sign convention: it equals exp(i theta J_n) |0, N> for the axis
     (beta=pi/2, phi_axis=pi/2 - phi).
     """
-    if n_total < 0:
-        raise ValueError("n_total must be >= 0")
-    half = theta / 2.0
+    n_total = _arg("n_total", n_total, 0, kind=int)
+    half = _arg("theta", theta) / 2.0
     c = math.cos(half)
-    s = math.sin(half) * np.exp(1j * phi)
+    s = math.sin(half) * np.exp(1j * _arg("phi", phi))
     k = np.arange(n_total + 1)
     coeffs = np.array(
         [math.sqrt(math.comb(n_total, int(kk))) for kk in k], dtype=complex
@@ -87,8 +86,7 @@ def fock_cat(n_total: int, theta: float, phi: float = 0.0) -> PureState:
     The branch overlap is cos^N(theta/2), so the squared norm before
     normalization is 2 + 2 cos^N(theta/2).
     """
-    if n_total < 1:
-        raise ValueError("fock_cat requires n_total >= 1")
+    n_total = _arg("n_total", n_total, 1, kind=int)
     branch = rotated_fock(n_total, theta, phi)
     basis = branch.basis
     amp = branch.amplitudes.copy()
@@ -98,7 +96,8 @@ def fock_cat(n_total: int, theta: float, phi: float = 0.0) -> PureState:
 
 def coherent_cutoff(alpha: complex, tail: float = COHERENT_TAIL_TOL) -> int:
     """Smallest cutoff whose Poisson tail P(n > cutoff) is below `tail`."""
-    mean = abs(alpha) ** 2
+    mean = _arg("|alpha|", abs(alpha)) ** 2
+    tail = _arg("tail", tail, math.ulp(0.0))  # the least positive float: tail > 0
     cutoff = max(int(mean), 0)
     while pdtrc(cutoff, mean) >= tail:
         cutoff += 1
@@ -110,9 +109,8 @@ def coherent_truncated(alpha: complex, cutoff: int) -> PureState:
 
     Raises if the discarded Poisson tail is not below 1e-12.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    if pdtrc(cutoff, abs(alpha) ** 2) >= COHERENT_TAIL_TOL:
+    cutoff = _arg("cutoff", cutoff, 0, kind=int)
+    if pdtrc(cutoff, _arg("|alpha|", abs(alpha)) ** 2) >= COHERENT_TAIL_TOL:
         raise ValueError(
             f"cutoff {cutoff} keeps a Poisson tail >= {COHERENT_TAIL_TOL} "
             f"for |alpha|^2 = {abs(alpha) ** 2:.6g}"
@@ -141,6 +139,7 @@ def correlated_three_mode(coeffs: Sequence[complex], n_total: int) -> PureState:
 
     `coeffs` runs over n = 0..floor(N/2); mode 2 is the phase reference.
     """
+    n_total = _arg("n_total", n_total, 0, kind=int)
     c = _checked_profile(coeffs, n_total // 2 + 1)
     basis = build_basis(3, n_total)
     n = np.arange(c.size)
@@ -163,6 +162,7 @@ def general_probe(
     vacuum).  Gates are (PairAxis, angle) pairs applied in list order:
     the first gate acts first on the ket.
     """
+    n_total = _arg("n_total", n_total, 0, kind=int)
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (n_total + 1, n_total + 1):
         raise ValueError(
@@ -175,9 +175,7 @@ def general_probe(
     nrm = float(np.linalg.norm(c))
     if not abs(nrm - 1.0) <= NORM_ATOL:
         raise ValueError(f"coefficient norm {nrm} is not 1 within {NORM_ATOL}")
-    env_occupation = int(env_occupation)
-    if env_occupation < 0:
-        raise ValueError("env_occupation must be >= 0")
+    env_occupation = _arg("env_occupation", env_occupation, 0, kind=int)
 
     basis = build_basis(4, n_total + env_occupation)
     n1, n2 = np.nonzero(c)
@@ -216,6 +214,7 @@ def drop_reference(state: PureState, support_atol: float = 1e-10) -> PureState:
     """
     if state.basis.num_modes != 2:
         raise ValueError("drop_reference expects a two-mode state")
+    support_atol = _arg("support_atol", support_atol, 0.0)
     n_total = state.basis.n_total
     block = state.amplitudes[state.basis.sector_slice(n_total)]
     if 1.0 - float(np.sum(np.abs(block) ** 2)) > support_atol:

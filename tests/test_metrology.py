@@ -432,6 +432,16 @@ class TestPovmValidation:
         with pytest.raises(ValueError):
             Povm([np.diag([bad, 0.0]), np.diag([0.0, 1.0])])
 
+    @pytest.mark.parametrize(
+        "elements",
+        [[np.float64(1.0)], [np.ones(2)], [np.ones((2, 2, 2))], [np.zeros((0, 0))],
+         [np.eye(2), np.float64(0.0)]],
+        ids=["scalar", "vector", "3-d", "empty", "scalar-second"],
+    )
+    def test_rejects_non_square_elements(self, elements):
+        with pytest.raises(ValueError, match="has shape"):
+            Povm(elements)
+
     def test_accepts_projective(self):
         povm = projective_povm(np.eye(4))
         assert len(povm) == 4

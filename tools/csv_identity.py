@@ -37,7 +37,8 @@ SCENARIOS = (
 # of dim 1771, caller-given zeta coefficients, the correlated lossy probe
 # and the NOON lossy probe at n_total 8 with the loss on mode 2.  The
 # off-axis J_n build is also run on 400 oracle axes and on the lossy
-# coupling of pair (1, 3) at dim 1820.
+# coupling of pair (1, 3) at dim 1820.  Two runs sit at the argument caps:
+# `rotated_fock` at N = 400 and `coherent_cutoff` at alpha = 6.
 CONFIGS = {name: {"scenario": name} for name in SCENARIOS}
 CONFIGS.update({
     "variance-oracle-n60": {"scenario": "variance-oracle", "params": {"n_max": 60}},
@@ -63,6 +64,11 @@ CONFIGS.update({
         "scenario": "lossy-sweep",
         "params": {"n_total": 12, "probe": "correlated", "probe_mode": 1},
     },
+    "cv-convergence-n400": {
+        "scenario": "cv-convergence",
+        "params": {"alpha": 4.0, "n_values": [16, 100, 400]},
+    },
+    "cat-vs-noon-alpha6": {"scenario": "cat-vs-noon", "params": {"alphas": [0.1, 2.5, 6.0]}},
 })
 
 
