@@ -65,7 +65,9 @@ class FockBasis:
     :meth:`occupations` table.
     """
 
-    __slots__ = ("num_modes", "n_total", "dim", "_offsets", "_occ_table", "_pascal_table")
+    __slots__ = (
+        "num_modes", "n_total", "dim", "_offsets", "_occ_table", "_pascal_table", "_sectors"
+    )
 
     def __init__(self, num_modes: int, n_total: int):
         num_modes = _arg("num_modes", num_modes, 1, kind=int)
@@ -77,6 +79,9 @@ class FockBasis:
             math.comb(s + num_modes - 1, num_modes) for s in range(n_total + 2)
         ]
         self.dim = self._offsets[-1]
+        self._sectors = tuple(
+            slice(self._offsets[s], self._offsets[s + 1]) for s in range(n_total + 1)
+        )
         self._occ_table = None
         self._pascal_table = None
 
@@ -102,8 +107,11 @@ class FockBasis:
         occupation of mode 0, so index ``sector_slice(s).start + n``
         is the state ``|n, s - n>``.
         """
-        s = _arg("sector", s, 0, self.n_total, kind=int)
-        return slice(self._offsets[s], self._offsets[s + 1])
+        return self._sectors[_arg("sector", s, 0, self.n_total, kind=int)]
+
+    def sectors(self) -> tuple[slice, ...]:
+        """Every sector's index range, by total photon number; built once per basis."""
+        return self._sectors
 
     def _pascal(self) -> np.ndarray:
         """Cached int64 table ``T[r, l] = C(r + l, l)``, r <= n_total, l <= num_modes.
@@ -225,9 +233,7 @@ class PureState:
     def sector_masses(self) -> np.ndarray:
         """Probability in each total-photon-number sector, indexed by sector."""
         probs = np.abs(self.amplitudes) ** 2
-        return np.array(
-            [probs[self.basis.sector_slice(s)].sum() for s in range(self.basis.n_total + 1)]
-        )
+        return np.array([probs[block].sum() for block in self.basis.sectors()])
 
     def expand_cutoff(self, n_total: int) -> "PureState":
         """Same state re-indexed on a basis with a larger cutoff."""
@@ -263,17 +269,12 @@ class MixedState:
     def __repr__(self) -> str:
         return f"MixedState(basis={self.basis!r})"
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def sector_masses(self) -> np.ndarray:
         probs = np.real(np.diag(self.matrix))
-        return np.array(
-            [probs[self.basis.sector_slice(s)].sum() for s in range(self.basis.n_total + 1)]
-        )
+        return np.array([probs[block].sum() for block in self.basis.sectors()])
 
 
 State = PureState | MixedState
@@ -385,13 +386,11 @@ def tensor_product(a: PureState, b: PureState, n_total: int | None = None) -> Pu
     if n_total is None:
         n_total = a.basis.n_total + b.basis.n_total
     combined = build_basis(a.basis.num_modes + b.basis.num_modes, n_total)
+    a_nz = np.flatnonzero(a.amplitudes)
+    b_nz = np.flatnonzero(b.amplitudes)
+    ka, kb = (k.ravel() for k in np.meshgrid(a_nz, b_nz, indexing="ij"))
+    pairs = np.hstack([a.basis.occupations()[ka], b.basis.occupations()[kb]])
+    fit = pairs.sum(axis=1) <= n_total
     amp = np.zeros(combined.dim, dtype=complex)
-    a_nz = np.nonzero(a.amplitudes)[0]
-    b_nz = np.nonzero(b.amplitudes)[0]
-    for ka in a_nz:
-        occ_a = a.basis.unrank(int(ka))
-        for kb in b_nz:
-            occ_b = b.basis.unrank(int(kb))
-            if sum(occ_a) + sum(occ_b) <= n_total:
-                amp[combined.rank(occ_a + occ_b)] = a.amplitudes[ka] * b.amplitudes[kb]
+    amp[combined.rank(pairs[fit])] = a.amplitudes[ka[fit]] * b.amplitudes[kb[fit]]
     return PureState(combined, amp, normalize=True)

@@ -20,7 +20,7 @@ from .fock import (
     MixedState, PureState, State, _arg, _as_density, _check_same_basis, _exact,
     _hermiticity_residual,
 )
-from .operators import HermitianOp, _exp_i, _unitarity_residual, quadrature_p
+from .operators import HermitianOp, _exp_i, _spectrum, _unitarity_residual, quadrature_p
 
 VARIANCE_FLOOR = -1e-10
 PROB_FLOOR = 1e-12
@@ -136,15 +136,20 @@ def qfi_pure(state: PureState, generator: HermitianOp, nu: int | None = None) ->
     return _report(4.0 * variance(state, generator), generator.label, nu)
 
 
-def _eigenframe(rho: np.ndarray, h: np.ndarray, eigenvalue_floor: float):
-    """(vecs, H in rho's eigenbasis, p_k + p_l, p_k - p_l, mask p_k + p_l > eigenvalue_floor).
+def _eigenframe(rho: np.ndarray, op: HermitianOp, eigenvalue_floor: float):
+    """(vecs, op in rho's eigenbasis, p_k + p_l, p_k - p_l, mask p_k + p_l > eigenvalue_floor).
 
     `vecs` are rho's eigenvectors and p its eigenvalues clipped at zero.
+    A diagonal op scales the columns of vecs† instead of multiplying by
+    its dense view.
     """
     floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
     lam, vecs = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
-    h = vecs.conj().T @ h @ vecs
+    if op.weights is None:
+        h = vecs.conj().T @ op.matrix @ vecs
+    else:
+        h = (vecs.conj().T * op.weights) @ vecs
     sums = lam[:, None] + lam[None, :]
     diffs = lam[:, None] - lam[None, :]
     return vecs, h, sums, diffs, sums > floor
@@ -163,7 +168,7 @@ def qfi_mixed(
     4 Var(H) on rank-1 input.
     """
     _check_same_basis(rho, generator)
-    _, h, sums, diffs, mask = _eigenframe(rho.matrix, generator.matrix, eigenvalue_floor)
+    _, h, sums, diffs, mask = _eigenframe(rho.matrix, generator, eigenvalue_floor)
     weights = np.zeros_like(sums)
     weights[mask] = diffs[mask] ** 2 / sums[mask]
     qfi = 2.0 * float(np.sum(weights * np.abs(h) ** 2))
@@ -278,11 +283,14 @@ def fisher_information(
         raise ValueError("POVM dimension does not match the state")
     kappa0 = _arg("kappa0", kappa0)
     dkappa = _arg("dkappa", dkappa, math.ulp(0.0))  # the least positive float: dkappa > 0
+    if method not in ("central", "richardson", "analytic"):
+        raise ValueError(f"unknown derivative method {method!r}")
     rho = _as_density(state)
     h = generator.matrix
+    spectrum = _spectrum(state.basis, h)
 
     def evolved(kappa: float) -> np.ndarray:
-        u = _exp_i(state.basis, h, lambda w: kappa * w)
+        u = _exp_i(state.basis, spectrum, lambda w: kappa * w)
         return u @ rho @ u.conj().T
 
     def slope(step: float) -> np.ndarray:
@@ -295,10 +303,8 @@ def fisher_information(
         dp = slope(dkappa)
     elif method == "richardson":
         dp = (4 * slope(dkappa / 2) - slope(dkappa)) / 3
-    elif method == "analytic":
-        dp = _outcome_probs(1j * (h @ rho0 - rho0 @ h), povm)
     else:
-        raise ValueError(f"unknown derivative method {method!r}")
+        dp = _outcome_probs(1j * (h @ rho0 - rho0 @ h), povm)
 
     fi = 0.0
     for p, d in zip(p0, dp):
@@ -329,9 +335,9 @@ def optimal_povm(
     """
     _check_same_basis(state, generator)
     kappa0 = _arg("kappa0", kappa0)
-    u = _exp_i(state.basis, generator.matrix, lambda w: kappa0 * w)
+    u = _exp_i(state.basis, _spectrum(state.basis, generator.matrix), lambda w: kappa0 * w)
     rho_k = u @ _as_density(state) @ u.conj().T
-    vecs, h, sums, diffs, mask = _eigenframe(rho_k, generator.matrix, eigenvalue_floor)
+    vecs, h, sums, diffs, mask = _eigenframe(rho_k, generator, eigenvalue_floor)
     # <k|L|l> = 2 <k|i[H, rho]|l> / (p_k + p_l) = -2i (p_k - p_l) H_kl / (p_k + p_l)
     sld = np.zeros_like(h)
     sld[mask] = -2j * diffs[mask] * h[mask] / sums[mask]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -243,35 +244,57 @@ def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
     return HermitianOp(basis, diag, label=label)
 
 
-def _exp_i(basis: FockBasis, h: np.ndarray, phase_of) -> np.ndarray:
-    """exp(i * phase_of(H)) for a Hermitian H, from one eigh per total-number sector.
+def _spectrum(basis: FockBasis, h: np.ndarray) -> tuple:
+    """(block, w, v) per total-number sector of a Hermitian H, from one eigh each.
 
     An H with a nonzero outside the sector blocks, such as
     :func:`quadrature_p`, is decomposed as one whole-matrix block instead.
     """
-    sectors = [basis.sector_slice(s) for s in range(basis.n_total + 1)]
+    sectors = basis.sectors()
     conserving = np.count_nonzero(h) == sum(np.count_nonzero(h[b, b]) for b in sectors)
-    out = np.zeros_like(h)
-    for block in sectors if conserving else [slice(None)]:
-        w, v = np.linalg.eigh(h[block, block])
+    return tuple(
+        (block, *np.linalg.eigh(h[block, block]))
+        for block in (sectors if conserving else (slice(None),))
+    )
+
+
+def _exp_i(basis: FockBasis, spectrum, phase_of) -> np.ndarray:
+    """exp(i * phase_of(H)) assembled from H's :func:`_spectrum`."""
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for block, w, v in spectrum:
         out[block, block] = (v * np.exp(1j * phase_of(w))) @ v.conj().T
     return out
+
+
+@lru_cache(maxsize=1)
+def _pair_spectrum(basis: FockBasis, pair: PairAxis) -> tuple[str, tuple]:
+    """(label, read-only spectrum) of J_n on `pair`; the last pair's is kept for the next gate.
+
+    A sweep of angles on one pair, as in `lossy-sweep`, then decomposes
+    J_n once.  The dense J_n itself is not kept.
+    """
+    h = schwinger_j(basis, pair)
+    spectrum = _spectrum(basis, h.matrix)
+    for _, w, v in spectrum:
+        w.setflags(write=False)
+        v.setflags(write=False)
+    return h.label, spectrum
 
 
 def rotation_unitary(basis: FockBasis, pair: PairAxis, angle: float) -> UnitaryOp:
     """exp(i * angle * J_n) computed exactly via eigendecomposition."""
     angle = _arg("rotation angle", angle)
-    h = schwinger_j(basis, pair)
-    mat = _exp_i(basis, h.matrix, lambda w: angle * w)
-    return _exact(UnitaryOp, basis=basis, matrix=mat, label=f"exp(i*{angle:.6g}*{h.label})")
+    label, spectrum = _pair_spectrum(basis, pair)
+    mat = _exp_i(basis, spectrum, lambda w: angle * w)
+    return _exact(UnitaryOp, basis=basis, matrix=mat, label=f"exp(i*{angle:.6g}*{label})")
 
 
 def spin_squeeze_unitary(basis: FockBasis, pair: PairAxis, gamma: float) -> UnitaryOp:
     """exp(i * gamma * J_n^2), the one-axis-twisting gate."""
     gamma = _arg("twisting strength gamma", gamma)
-    h = schwinger_j(basis, pair)
-    mat = _exp_i(basis, h.matrix, lambda w: gamma * w**2)
-    return _exact(UnitaryOp, basis=basis, matrix=mat, label=f"exp(i*{gamma:.6g}*{h.label}^2)")
+    label, spectrum = _pair_spectrum(basis, pair)
+    mat = _exp_i(basis, spectrum, lambda w: gamma * w**2)
+    return _exact(UnitaryOp, basis=basis, matrix=mat, label=f"exp(i*{gamma:.6g}*{label}^2)")
 
 
 def quadrature_p(basis: FockBasis, mode: int) -> HermitianOp:

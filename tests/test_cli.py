@@ -2,7 +2,9 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from metrolab.cli import (
@@ -13,6 +15,7 @@ from metrolab.cli import (
     run_scenario,
     validate_config,
 )
+from metrolab.operators import _pair_spectrum
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -155,6 +158,17 @@ class TestScenarios:
         _, rows = read_rows(out)
         qfis = [float(r[1]) for r in rows]
         assert all(b <= a + 1e-8 for a, b in zip(qfis, qfis[1:]))
+
+    def test_lossy_sweep_decomposes_its_coupling_once(self, tmp_path):
+        """k kappas cost one eigh per sector of the 4-mode coupling, plus one per rho."""
+        n_total, kappas = 6, [0.0, 0.4, 1.1, 2.5]
+        doc = {"scenario": "lossy-sweep", "params": {"n_total": n_total, "kappas": kappas}}
+        config = validate_config(json.dumps(doc))
+        config.output_path = str(tmp_path / "lossy.csv")
+        _pair_spectrum.cache_clear()
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            assert run_scenario(config) == 0
+        assert eigh.call_count == n_total + 1 + len(kappas)
 
     def test_variance_oracle_diffs_small(self, tmp_path):
         out = tmp_path / "oracle.csv"

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -325,14 +326,28 @@ class TestFisherInformation:
         assert abs(values[0] - values[2]) < 1e-6
         assert abs(values[1] - values[2]) < 1e-9
 
+    @pytest.mark.parametrize("method", ["central", "richardson", "analytic"])
+    def test_decomposes_the_generator_once(self, method):
+        rng = np.random.default_rng(11)
+        state = two_mode_fixed_n(random_profile(rng, 5), 4).expand_cutoff(5)
+        gen = schwinger_j(state.basis, random_axis(rng))
+        povm = random_projective_povm(rng, state.basis.dim)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            fisher_information(state, gen, povm, kappa0=0.3, method=method)
+        assert [c.args[0].shape[0] for c in eigh.call_args_list] == [
+            state.basis.sector_dim(s) for s in range(state.basis.n_total + 1)
+        ]
+
     def test_rejects_bad_arguments(self):
         state = noon(2)
         gen = schwinger_j(state.basis, PairAxis(0, 1, **Z_AXIS))
         povm = Povm([np.eye(state.basis.dim)])
         with pytest.raises(ValueError):
             fisher_information(state, gen, povm, kappa0=0.0, dkappa=0.0)
-        with pytest.raises(ValueError):
-            fisher_information(state, gen, povm, kappa0=0.0, method="nope")
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            with pytest.raises(ValueError):
+                fisher_information(state, gen, povm, kappa0=0.0, method="nope")
+        assert eigh.call_count == 0  # the method is checked before any decomposition
 
     def test_divergent_outcome_warns_and_returns_inf(self):
         # an outcome with ~1e-14 probability but a real first-order slope:

@@ -32,7 +32,7 @@ from metrolab import (
     variance,
     weighted_number,
 )
-from metrolab.operators import _AXIS_TOL, _exp_i, _hopping_entries
+from metrolab.operators import _AXIS_TOL, _exp_i, _hopping_entries, _pair_spectrum, _spectrum
 
 X_AXIS = dict(beta=math.pi / 2, phi=0.0)
 Y_AXIS = dict(beta=math.pi / 2, phi=math.pi / 2)
@@ -357,7 +357,7 @@ def check_exp_i(h, kappa, sector_wise):
     """_exp_i(H) against scipy's expm(i kappa H), and which blocks it decomposed."""
     basis = h.basis
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-        u = _exp_i(basis, h.matrix, lambda w: kappa * w)
+        u = _exp_i(basis, _spectrum(basis, h.matrix), lambda w: kappa * w)
     sectors = [basis.sector_dim(s) for s in range(basis.n_total + 1)]
     assert [c.args[0].shape[0] for c in eigh.call_args_list] == (
         sectors if sector_wise else [basis.dim]
@@ -404,6 +404,62 @@ class TestExpI:
         np.testing.assert_allclose(
             PureState(basis, out).sector_masses(), state.sector_masses(), atol=1e-12
         )
+
+
+def reference_gate(basis, pair, phase_of):
+    """exp(i phase_of(J_n)) from a fresh eigh of each sector block of J_n."""
+    h = schwinger_j(basis, pair).matrix
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for s in range(basis.n_total + 1):
+        block = basis.sector_slice(s)
+        w, v = np.linalg.eigh(h[block, block])
+        out[block, block] = (v * np.exp(1j * phase_of(w))) @ v.conj().T
+    return out
+
+
+class TestPairSpectrum:
+    @given(
+        bases_and_axes(),
+        st.floats(0, math.pi),
+        st.floats(0, 2 * math.pi),
+        st.lists(st.tuples(st.booleans(), st.booleans(), angles), min_size=1, max_size=6),
+    )
+    def test_gates_equal_a_fresh_decomposition(self, case, beta, phi, steps):
+        """Repeated and interleaved angles and pairs give the bits of a per-sector eigh."""
+        basis, first = case
+        pairs = (first, PairAxis(first.j, first.i, beta=beta, phi=phi))
+        for other, squeeze, angle in steps + steps[::-1]:
+            pair = pairs[other]
+            if squeeze:
+                gate = spin_squeeze_unitary(basis, pair, angle)
+                expected = reference_gate(basis, pair, lambda w: angle * w**2)
+            else:
+                gate = rotation_unitary(basis, pair, angle)
+                expected = reference_gate(basis, pair, lambda w: angle * w)
+            assert np.array_equal(gate.matrix, expected)
+            assert _pair_spectrum.cache_info().currsize <= 1
+
+    def test_one_decomposition_serves_every_angle(self):
+        basis = build_basis(3, 5)
+        pair = PairAxis(0, 2, **X_AXIS)
+        _pair_spectrum.cache_clear()
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            for angle in (0.0, 0.4, 1.3, 0.4):
+                rotation_unitary(basis, pair, angle)
+                spin_squeeze_unitary(basis, pair, angle)
+        assert eigh.call_count == basis.n_total + 1
+        rotation_unitary(basis, PairAxis(1, 2), 0.2)
+        assert _pair_spectrum.cache_info().currsize == 1
+
+    def test_cached_arrays_are_read_only(self):
+        basis = build_basis(2, 4)
+        label, spectrum = _pair_spectrum(basis, PairAxis(0, 1, beta=0.7, phi=2.1))
+        assert label == schwinger_j(basis, PairAxis(0, 1, beta=0.7, phi=2.1)).label
+        assert [block for block, _, _ in spectrum] == list(basis.sectors())
+        for _, w, v in spectrum:
+            assert not w.flags.writeable and not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0, 0] = 0.0
 
 
 class TestQuadrature:

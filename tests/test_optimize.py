@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metrolab import (
     PairAxis,
@@ -225,6 +227,77 @@ class TestLossyProbe:
         probe = noon_probe_with_environment(2)
         with pytest.raises(ValueError):
             lossy_probe(probe, 3, 0.3)
+
+
+def lossy_qfi(probe, probe_mode, kappa):
+    """QFI of Jz(0, 2) on the probe modes after the loss coupling on `probe_mode`."""
+    rho = lossy_probe(probe, probe_mode, kappa)
+    return qfi_mixed(rho, schwinger_j(rho.basis, PairAxis(0, 2))).qfi
+
+
+def rank_one_sector_qfi(coeffs, n_total, probe_mode, kappa):
+    """Sum over lost-photon counts l of |v_l|^2 4 Var_{v_l/|v_l|}(Jz(0, 2)), without eigh.
+
+    v_l = K_l |psi>, with the binomial Kraus operator
+    K_l = sum_n sqrt(C(n, l)) cos^(n-l)(kappa/2) sin^l(kappa/2) |n-l><n| on the
+    probe mode; each v_l lies in sector N - l, so rho is a direct sum of rank-one
+    blocks and the number-conserving generator acts on each one separately.
+    """
+    c, s = math.cos(kappa / 2), math.sin(kappa / 2)
+    total = 0.0
+    for lost in range(n_total + 1):
+        probs, jz = [], []
+        for n1 in range(n_total + 1):
+            for n2 in range(n_total + 1 - n1):
+                occ = [n1, n2, n_total - n1 - n2]
+                n = occ[probe_mode]
+                if n < lost or coeffs[n1, n2] == 0:
+                    continue
+                amp = coeffs[n1, n2] * math.sqrt(math.comb(n, lost)) * c ** (n - lost) * s**lost
+                occ[probe_mode] -= lost
+                probs.append(abs(amp) ** 2)
+                jz.append((occ[0] - occ[2]) / 2)
+        # distinct (n1, n2) stay distinct after the loss, so the weights do not interfere
+        probs, jz = np.array(probs), np.array(jz)
+        mass = probs.sum()
+        if mass > 0:
+            total += 4 * (probs @ jz**2 - (probs @ jz) ** 2 / mass)
+    return total
+
+
+class TestLossOracles:
+    @given(st.integers(1, 8), st.integers(0, 2), st.floats(0, math.pi))
+    def test_noon_closed_form(self, n_total, probe_mode, kappa):
+        eta_n = math.cos(kappa / 2) ** (2 * n_total)
+        expected = n_total**2 / 4
+        if probe_mode < 2:
+            expected = n_total**2 * eta_n / (2 * (1 + eta_n))
+        qfi = lossy_qfi(noon_probe_with_environment(n_total), probe_mode, kappa)
+        assert abs(qfi - expected) <= 1e-12 * max(1.0, expected)
+
+    @given(st.integers(1, 8), st.integers(0, 2), st.floats(0, math.pi), st.integers(0, 2**32 - 1))
+    def test_rank_one_sector_oracle(self, n_total, probe_mode, kappa, seed):
+        rng = np.random.default_rng(seed)
+        n1, n2 = np.meshgrid(np.arange(n_total + 1), np.arange(n_total + 1), indexing="ij")
+        coeffs = rng.standard_normal(n1.shape) + 1j * rng.standard_normal(n1.shape)
+        coeffs[(n1 + n2 > n_total) | (rng.random(n1.shape) < 0.3)] = 0
+        coeffs[0, 0] = 1.0  # the support is never empty
+        coeffs /= np.linalg.norm(coeffs)
+        expected = rank_one_sector_qfi(coeffs, n_total, probe_mode, kappa)
+        qfi = lossy_qfi(general_probe(coeffs, n_total), probe_mode, kappa)
+        assert abs(qfi - expected) <= 1e-12 * max(1.0, expected)
+
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 2),
+        st.booleans(),
+        st.lists(st.floats(0, math.pi), min_size=2, max_size=2),
+    )
+    def test_qfi_does_not_grow_with_kappa(self, n_total, probe_mode, noon_probe, kappas):
+        make = noon_probe_with_environment if noon_probe else correlated_probe_with_environment
+        probe = make(n_total)
+        low, high = (lossy_qfi(probe, probe_mode, k) for k in sorted(kappas))
+        assert high <= low + 1e-12 * max(1.0, low)
 
 
 class TestSweep:

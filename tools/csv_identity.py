@@ -37,7 +37,9 @@ SCENARIOS = (
 # of dim 1771, caller-given zeta coefficients, the correlated lossy probe
 # and the NOON lossy probe at n_total 8 with the loss on mode 2.  The
 # off-axis J_n build is also run on 400 oracle axes and on the lossy
-# coupling of pair (1, 3) at dim 1820.  Two runs sit at the argument caps:
+# coupling of pair (1, 3) at dim 1820.  The largest lossy sweep, the
+# correlated probe at n_total 14 (dim 3060) over 4 kappas, reuses one
+# decomposition of its coupling.  Two runs sit at the argument caps:
 # `rotated_fock` at N = 400 and `coherent_cutoff` at alpha = 6.
 CONFIGS = {name: {"scenario": name} for name in SCENARIOS}
 CONFIGS.update({
@@ -63,6 +65,10 @@ CONFIGS.update({
     "lossy-sweep-correlated-n12-mode1": {
         "scenario": "lossy-sweep",
         "params": {"n_total": 12, "probe": "correlated", "probe_mode": 1},
+    },
+    "lossy-sweep-correlated-n14-4kappas": {
+        "scenario": "lossy-sweep",
+        "params": {"n_total": 14, "probe": "correlated", "kappas": [0.0, 0.5, 1.25, 3.0]},
     },
     "cv-convergence-n400": {
         "scenario": "cv-convergence",
