@@ -270,7 +270,8 @@ class MixedState:
         return f"MixedState(basis={self.basis!r})"
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """tr(rho^2), read as the sum of |rho_ij|^2 (rho is Hermitian)."""
+        return float(np.real(np.vdot(self.matrix, self.matrix)))
 
     def sector_masses(self) -> np.ndarray:
         probs = np.real(np.diag(self.matrix))

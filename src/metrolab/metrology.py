@@ -20,7 +20,9 @@ from .fock import (
     MixedState, PureState, State, _arg, _as_density, _check_same_basis, _exact,
     _hermiticity_residual,
 )
-from .operators import HermitianOp, _exp_i, _spectrum, _unitarity_residual, quadrature_p
+from .operators import (
+    HermitianOp, _exp_i_blocks, _spectrum, _unitarity_residual, quadrature_p
+)
 
 VARIANCE_FLOOR = -1e-10
 PROB_FLOOR = 1e-12
@@ -43,19 +45,29 @@ class QFIReport:
     crb: CramerRaoBound | None = None
 
 
+def _checked_nu(nu: int | None) -> int | None:
+    return None if nu is None else _arg("nu", nu, 1, kind=int)
+
+
 def _report(qfi: float, label: str, nu: int | None) -> QFIReport:
+    """The report for a `nu` already passed through :func:`_checked_nu`."""
     crb = None
     if nu is not None:
-        nu = _arg("nu", nu, 1, kind=int)
         delta = 1.0 / math.sqrt(nu * qfi) if qfi > 0 else math.inf
         crb = CramerRaoBound(nu=nu, delta=delta)
     return QFIReport(qfi=qfi, generator_label=label, crb=crb)
 
 
 class Povm:
-    """A list of Hermitian PSD matrices that sum to the identity."""
+    """A list of Hermitian PSD matrices that sum to the identity.
 
-    __slots__ = ("elements",)
+    A projective POVM from :func:`projective_povm` keeps its orthonormal
+    basis instead, as the columns of ``vectors`` (None for an element
+    list); its ``elements`` are then the projectors onto those columns,
+    built on first read and cached.  Both are read-only.
+    """
+
+    __slots__ = ("vectors", "_elements")
 
     def __init__(self, elements: Sequence[np.ndarray]):
         elems = [np.asarray(e, dtype=complex) for e in elements]
@@ -73,25 +85,35 @@ class Povm:
             total += e
         if not np.max(np.abs(total - np.eye(dim))) <= POVM_ATOL:
             raise ValueError("POVM elements do not sum to the identity within 1e-10")
-        self.elements = tuple(e.copy() for e in elems)
-        for e in self.elements:
+        self.vectors = None
+        self._elements = tuple(e.copy() for e in elems)
+        for e in self._elements:
             e.setflags(write=False)
 
+    @property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        if self._elements is None:
+            elems = tuple(np.outer(c, c.conj()) for c in self.vectors.T)
+            for e in elems:
+                e.setflags(write=False)
+            self._elements = elems
+        return self._elements
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._elements) if self.vectors is None else self.vectors.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return (self._elements[0] if self.vectors is None else self.vectors).shape[0]
 
 
 def projective_povm(vectors: np.ndarray) -> Povm:
     """Rank-1 POVM onto the columns of a square `vectors`, checked once to be orthonormal."""
-    v = np.asarray(vectors, dtype=complex)
+    v = np.array(vectors, dtype=complex)
     square = v.ndim == 2 and v.shape[0] == v.shape[1] > 0
     if not (square and _unitarity_residual(v) <= POVM_ATOL):
         raise ValueError(f"vectors of shape {v.shape} are not an orthonormal basis within 1e-10")
-    return _exact(Povm, elements=tuple(np.outer(c, c.conj()) for c in v.T))
+    return _exact(Povm, vectors=v, _elements=None)
 
 
 def _applied(op: HermitianOp, vec: np.ndarray) -> np.ndarray:
@@ -105,7 +127,7 @@ def expectation(state: State, op: HermitianOp) -> float:
         return float(np.real(np.vdot(state.amplitudes, _applied(op, state.amplitudes))))
     if op.weights is not None:
         return float(np.real(np.diag(state.matrix)) @ op.weights)
-    return float(np.real(np.trace(state.matrix @ op.matrix)))
+    return float(np.real(np.vdot(op.matrix, state.matrix)))  # tr(H rho), H Hermitian
 
 
 def variance(state: State, op: HermitianOp) -> float:
@@ -123,7 +145,7 @@ def variance(state: State, op: HermitianOp) -> float:
         var = float(np.real(np.diag(state.matrix)) @ (op.weights - mean) ** 2)
     else:
         dev = op.matrix - mean * np.eye(op.basis.dim)
-        var = float(np.real(np.trace(state.matrix @ dev @ dev)))
+        var = float(np.real(np.vdot(dev, state.matrix @ dev)))  # tr(rho D^2), D Hermitian
     if var < VARIANCE_FLOOR:
         raise ValueError(f"variance {var} below roundoff floor {VARIANCE_FLOOR}")
     return max(var, 0.0)
@@ -133,23 +155,23 @@ def qfi_pure(state: PureState, generator: HermitianOp, nu: int | None = None) ->
     """QFI = 4 Var(generator) for a pure probe under exp(i * generator * kappa)."""
     if not isinstance(state, PureState):
         raise TypeError("qfi_pure expects a PureState; use qfi_mixed for density matrices")
+    nu = _checked_nu(nu)
     return _report(4.0 * variance(state, generator), generator.label, nu)
 
 
-def _eigenframe(rho: np.ndarray, op: HermitianOp, eigenvalue_floor: float):
-    """(vecs, op in rho's eigenbasis, p_k + p_l, p_k - p_l, mask p_k + p_l > eigenvalue_floor).
+def _eigenframe(rho: np.ndarray, h: np.ndarray, floor: float):
+    """(vecs, h in rho's eigenbasis, p_k + p_l, p_k - p_l, mask p_k + p_l > floor).
 
     `vecs` are rho's eigenvectors and p its eigenvalues clipped at zero.
-    A diagonal op scales the columns of vecs† instead of multiplying by
-    its dense view.
+    `h` is a dense matrix, or a diagonal operator's weight vector, which
+    scales the columns of vecs† instead of multiplying by a dense view.
     """
-    floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
     lam, vecs = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
-    if op.weights is None:
-        h = vecs.conj().T @ op.matrix @ vecs
+    if h.ndim == 2:
+        h = vecs.conj().T @ h @ vecs
     else:
-        h = (vecs.conj().T * op.weights) @ vecs
+        h = (vecs.conj().T * h) @ vecs
     sums = lam[:, None] + lam[None, :]
     diffs = lam[:, None] - lam[None, :]
     return vecs, h, sums, diffs, sums > floor
@@ -168,7 +190,9 @@ def qfi_mixed(
     4 Var(H) on rank-1 input.
     """
     _check_same_basis(rho, generator)
-    _, h, sums, diffs, mask = _eigenframe(rho.matrix, generator, eigenvalue_floor)
+    floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
+    nu = _checked_nu(nu)
+    _, h, sums, diffs, mask = _eigenframe(rho.matrix, generator._data(), floor)
     weights = np.zeros_like(sums)
     weights[mask] = diffs[mask] ** 2 / sums[mask]
     qfi = 2.0 * float(np.sum(weights * np.abs(h) ** 2))
@@ -257,8 +281,27 @@ def displacement_bound(state: State, nu: int = 1, tail_tol: float = 1e-10) -> fl
     return 1.0 / math.sqrt(4.0 * nu * var_p)
 
 
-def _outcome_probs(rho: np.ndarray, povm: Povm) -> np.ndarray:
-    return np.array([float(np.real(np.einsum("ij,ji->", e, rho))) for e in povm.elements])
+def _evolved(spectrum, rho: np.ndarray, kappa: float) -> list[np.ndarray]:
+    """The diagonal blocks of U rho U†, U = exp(i kappa H), one per block of H's spectrum."""
+    return [
+        u @ rho[block, block] @ u.conj().T
+        for block, u in _exp_i_blocks(spectrum, lambda w: kappa * w)
+    ]
+
+
+def _outcome_probs(povm: Povm, blocks, rhos: list[np.ndarray]) -> np.ndarray:
+    """tr(E_i rho) for every outcome, for a rho whose nonzero blocks are `rhos` on `blocks`.
+
+    A basis POVM sums Re conj(V) ⊙ (rho V) over its rows; an element
+    list takes each element's trace against the blocks.
+    """
+    if povm.vectors is None:
+        return np.array([
+            sum(float(np.real(np.einsum("ij,ji->", e[b, b], r))) for b, r in zip(blocks, rhos))
+            for e in povm.elements
+        ])
+    v = povm.vectors
+    return sum(np.real(np.einsum("ij,ij->j", v[b].conj(), r @ v[b])) for b, r in zip(blocks, rhos))
 
 
 def fisher_information(
@@ -277,6 +320,9 @@ def fisher_information(
     commutator form i[H, rho] ("analytic").  Outcomes with P below 1e-12
     are skipped; if such an outcome still has a non-vanishing derivative
     the information diverges and +inf is returned with a warning.
+
+    When rho and H are block diagonal over the total-number sectors,
+    every step runs sector by sector.
     """
     _check_same_basis(state, generator)
     if povm.dim != state.basis.dim:
@@ -287,24 +333,24 @@ def fisher_information(
         raise ValueError(f"unknown derivative method {method!r}")
     rho = _as_density(state)
     h = generator.matrix
-    spectrum = _spectrum(state.basis, h)
+    spectrum = _spectrum(state.basis, h, rho)
+    blocks = [block for block, _, _ in spectrum]
 
-    def evolved(kappa: float) -> np.ndarray:
-        u = _exp_i(state.basis, spectrum, lambda w: kappa * w)
-        return u @ rho @ u.conj().T
+    def probs(kappa: float) -> np.ndarray:
+        return _outcome_probs(povm, blocks, _evolved(spectrum, rho, kappa))
 
     def slope(step: float) -> np.ndarray:
-        ahead = _outcome_probs(evolved(kappa0 + step), povm)
-        return (ahead - _outcome_probs(evolved(kappa0 - step), povm)) / (2 * step)
+        return (probs(kappa0 + step) - probs(kappa0 - step)) / (2 * step)
 
-    rho0 = evolved(kappa0)
-    p0 = _outcome_probs(rho0, povm)
+    rhos = _evolved(spectrum, rho, kappa0)
+    p0 = _outcome_probs(povm, blocks, rhos)
     if method == "central":
         dp = slope(dkappa)
     elif method == "richardson":
         dp = (4 * slope(dkappa / 2) - slope(dkappa)) / 3
     else:
-        dp = _outcome_probs(1j * (h @ rho0 - rho0 @ h), povm)
+        drhos = [1j * (h[b, b] @ r - r @ h[b, b]) for b, r in zip(blocks, rhos)]
+        dp = _outcome_probs(povm, blocks, drhos)
 
     fi = 0.0
     for p, d in zip(p0, dp):
@@ -331,15 +377,20 @@ def optimal_povm(
 
     Measuring it makes the classical Fisher information meet the QFI at
     kappa0.  Within degenerate SLD eigenspaces the basis choice is
-    arbitrary and does not affect the information.
+    arbitrary and does not affect the information.  When rho and H are
+    block diagonal over the total-number sectors, so is the SLD: each
+    sector is solved on its own and the basis is block diagonal.
     """
     _check_same_basis(state, generator)
     kappa0 = _arg("kappa0", kappa0)
-    u = _exp_i(state.basis, _spectrum(state.basis, generator.matrix), lambda w: kappa0 * w)
-    rho_k = u @ _as_density(state) @ u.conj().T
-    vecs, h, sums, diffs, mask = _eigenframe(rho_k, generator, eigenvalue_floor)
-    # <k|L|l> = 2 <k|i[H, rho]|l> / (p_k + p_l) = -2i (p_k - p_l) H_kl / (p_k + p_l)
-    sld = np.zeros_like(h)
-    sld[mask] = -2j * diffs[mask] * h[mask] / sums[mask]
-    _, w = np.linalg.eigh(sld)
-    return projective_povm(vecs @ w)
+    floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
+    rho, h = _as_density(state), generator.matrix
+    spectrum = _spectrum(state.basis, h, rho)
+    vectors = np.zeros_like(rho)
+    for (block, _, _), rho_k in zip(spectrum, _evolved(spectrum, rho, kappa0)):
+        vecs, hk, sums, diffs, mask = _eigenframe(rho_k, h[block, block], floor)
+        # <k|L|l> = 2 <k|i[H, rho]|l> / (p_k + p_l) = -2i (p_k - p_l) H_kl / (p_k + p_l)
+        sld = np.zeros_like(hk)
+        sld[mask] = -2j * diffs[mask] * hk[mask] / sums[mask]
+        vectors[block, block] = vecs @ np.linalg.eigh(sld)[1]
+    return _exact(Povm, vectors=vectors, _elements=None)

@@ -244,25 +244,42 @@ def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
     return HermitianOp(basis, diag, label=label)
 
 
-def _spectrum(basis: FockBasis, h: np.ndarray) -> tuple:
-    """(block, w, v) per total-number sector of a Hermitian H, from one eigh each.
+def _blocks(basis: FockBasis, *mats: np.ndarray) -> tuple[slice, ...]:
+    """The basis's sectors if every matrix is block diagonal over them, else one whole block.
 
-    An H with a nonzero outside the sector blocks, such as
-    :func:`quadrature_p`, is decomposed as one whole-matrix block instead.
+    A matrix with a nonzero outside the sector blocks, such as
+    :func:`quadrature_p` or a coherent state's density matrix, mixes
+    sectors.
     """
     sectors = basis.sectors()
-    conserving = np.count_nonzero(h) == sum(np.count_nonzero(h[b, b]) for b in sectors)
+    for m in mats:
+        if np.count_nonzero(m) != sum(np.count_nonzero(m[b, b]) for b in sectors):
+            return (slice(None),)
+    return sectors
+
+
+def _spectrum(basis: FockBasis, h: np.ndarray, *others: np.ndarray) -> tuple:
+    """(block, w, v) per block of a Hermitian H, from one eigh each.
+
+    The blocks are :func:`_blocks` of H and `others`: the total-number
+    sectors, or the whole matrix when any of them mixes sectors.
+    """
     return tuple(
-        (block, *np.linalg.eigh(h[block, block]))
-        for block in (sectors if conserving else (slice(None),))
+        (block, *np.linalg.eigh(h[block, block])) for block in _blocks(basis, h, *others)
     )
+
+
+def _exp_i_blocks(spectrum, phase_of):
+    """(block, exp(i * phase_of(H)) on that block) for each block of H's :func:`_spectrum`."""
+    for block, w, v in spectrum:
+        yield block, (v * np.exp(1j * phase_of(w))) @ v.conj().T
 
 
 def _exp_i(basis: FockBasis, spectrum, phase_of) -> np.ndarray:
     """exp(i * phase_of(H)) assembled from H's :func:`_spectrum`."""
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for block, w, v in spectrum:
-        out[block, block] = (v * np.exp(1j * phase_of(w))) @ v.conj().T
+    for block, u in _exp_i_blocks(spectrum, phase_of):
+        out[block, block] = u
     return out
 
 

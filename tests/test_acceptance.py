@@ -319,3 +319,22 @@ def test_c13_variance_oracle_at_n_max_60_budget(tmp_path, monkeypatch):
     assert max(float(row.split(",")[-1]) for row in rows) <= 1e-10
     assert elapsed < 3.0, f"variance-oracle at n_max=60 took {elapsed:.1f}s"
     report(13, "variance-oracle at n_max=60 (dims up to 1891), 200 cases within 1e-10, under 3 s")
+
+
+def test_c14_optimal_measurement_at_reduced_dim_455_budget():
+    rng = np.random.default_rng(14)
+    n_total = 12
+    n1, n2 = np.meshgrid(np.arange(n_total + 1), np.arange(n_total + 1), indexing="ij")
+    shape = (n_total + 1, n_total + 1)
+    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (n1 + n2 <= n_total)
+    rho = lossy_probe(general_probe(c / np.linalg.norm(c), n_total), 1, 0.7)
+    assert rho.basis.dim == 455
+    gen = schwinger_j(rho.basis, PairAxis(0, 2, beta=1.1, phi=0.4))
+    qfi = qfi_mixed(rho, gen).qfi
+    start = time.perf_counter()
+    povm = optimal_povm(rho, gen, kappa0=0.3)
+    fi = fisher_information(rho, gen, povm, kappa0=0.3)
+    elapsed = time.perf_counter() - start
+    assert 0.999 <= fi / qfi <= 1.001, (fi, qfi)
+    assert elapsed < 1.0, f"optimal_povm + fisher_information at dim 455 took {elapsed:.1f}s"
+    report(14, "FI(optimal POVM)/QFI in [0.999, 1.001] on a lossy probe at dim 455, under 1 s")

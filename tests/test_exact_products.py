@@ -1,9 +1,9 @@
 """Library products that skip their constructor's checks still pass them.
 
 Gates, off-axis pair operators, the momentum quadrature, reduced states
-and projective POVMs are exact by construction, so they are built
-without the checks that ``HermitianOp``, ``UnitaryOp``, ``MixedState``
-and ``Povm`` run on caller input.  These tests run those checks on the
+and optimal POVMs are exact by construction, so they are built without
+the checks that ``HermitianOp``, ``UnitaryOp``, ``MixedState``,
+``Povm`` and ``projective_povm`` run on caller input.  These tests run those checks on the
 products instead.
 """
 
@@ -97,8 +97,10 @@ def test_optimal_povm_passes_the_povm_constructor(n_total, seed, purity, kappa0)
     rho = purity * pure.density_matrix() + (1.0 - purity) * np.eye(basis.dim) / basis.dim
     axis = PairAxis(0, 1, beta=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi))
     povm = optimal_povm(MixedState(basis, rho), schwinger_j(basis, axis), kappa0=kappa0)
+    projective_povm(povm.vectors)
     Povm(list(povm.elements))
     assert len(povm) == basis.dim
+    assert not povm.vectors.flags.writeable
     assert not any(e.flags.writeable for e in povm.elements)
 
 

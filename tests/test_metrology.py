@@ -3,10 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from metrolab import (
+    HermitianOp,
     MixedState,
     PairAxis,
     Povm,
@@ -15,6 +16,7 @@ from metrolab import (
     coherent_truncated,
     displacement_bound,
     drop_reference,
+    expectation,
     fidelity,
     fisher_information,
     general_probe,
@@ -33,6 +35,8 @@ from metrolab import (
     two_mode_fixed_n,
     variance,
 )
+from metrolab import metrology
+from metrolab.metrology import _outcome_probs
 
 Z_AXIS = dict(beta=0.0, phi=0.0)
 
@@ -56,6 +60,25 @@ def noon_probe_with_environment(n_total):
     c = np.zeros((n_total + 1, n_total + 1), dtype=complex)
     c[n_total, 0] = c[0, n_total] = 1 / math.sqrt(2)
     return general_probe(c, n_total)
+
+
+def dense_evolved(rho, generator, kappa):
+    """U rho U† with U = exp(i kappa H) from one eigh of the whole matrix."""
+    w, v = np.linalg.eigh(generator.matrix)
+    u = (v * np.exp(1j * kappa * w)) @ v.conj().T
+    return u @ rho @ u.conj().T
+
+
+def element_traces(povm, rho):
+    return np.array([np.real(np.trace(e @ rho)) for e in povm.elements])
+
+
+def dense_analytic_fisher(rho, generator, povm, kappa0):
+    """(P_i, sum_i P_i'^2 / P_i) from full-matrix products and per-element traces."""
+    rho_k = dense_evolved(rho, generator, kappa0)
+    drho = 1j * (generator.matrix @ rho_k - rho_k @ generator.matrix)
+    p, dp = element_traces(povm, rho_k), element_traces(povm, drho)
+    return p, float(np.sum(dp**2 / p))
 
 
 def bures_qfi(rho, generator, eps=2e-2):
@@ -99,6 +122,24 @@ class TestVariance:
         assert np.isclose(variance(rho, n), 2.25, atol=1e-12)
 
 
+    @given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_mixed_dense_matches_trace_formulas(self, num_modes, n_total, seed):
+        """Re vdot forms against tr(rho H), tr(rho D D) and tr(rho rho), D = H - <H>."""
+        rng = np.random.default_rng(seed)
+        basis = build_basis(num_modes, n_total)
+        dim = basis.dim
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = MixedState(basis, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        op = HermitianOp(basis, (h + h.conj().T) / 2)
+        mean = float(np.real(np.trace(rho.matrix @ op.matrix)))
+        dev = op.matrix - mean * np.eye(dim)
+        var = float(np.real(np.trace(rho.matrix @ dev @ dev)))
+        assert abs(expectation(rho, op) - mean) <= 1e-12
+        assert abs(variance(rho, op) - max(var, 0.0)) <= 1e-12
+        assert abs(rho.purity() - float(np.real(np.trace(rho.matrix @ rho.matrix)))) <= 1e-12
+
+
 class TestQfiPure:
     @pytest.mark.parametrize("n_total", range(1, 11))
     def test_noon_heisenberg(self, n_total):
@@ -123,6 +164,14 @@ class TestQfiPure:
         assert np.isclose(report.crb.delta, 1 / math.sqrt(4 * 9), atol=1e-12)
         with pytest.raises(ValueError):
             qfi_pure(noon(2), schwinger_j(build_basis(2, 2), PairAxis(0, 1, **Z_AXIS)), nu=0)
+
+    def test_rejects_bad_nu_before_computing(self):
+        state = noon(2)
+        gen = schwinger_j(state.basis, PairAxis(0, 1, beta=1.0, phi=0.5))
+        with mock.patch.object(metrology, "variance", wraps=variance) as var:
+            with pytest.raises(ValueError, match="nu"):
+                qfi_pure(state, gen, nu=0)
+        assert var.call_count == 0
 
     def test_rejects_mixed(self):
         from metrolab import partial_trace
@@ -153,6 +202,15 @@ class TestQfiMixed:
         gen = schwinger_j(rho.basis, PairAxis(0, 2, **Z_AXIS))
         q = qfi_mixed(rho, gen).qfi
         assert abs(q - bures_qfi(rho, gen)) < 1e-6
+
+    @pytest.mark.parametrize("nu", [0, 2.5, math.nan])
+    def test_rejects_bad_nu_before_computing(self, nu):
+        rho = lossy_probe(noon_probe_with_environment(2), 0, 0.4)
+        gen = schwinger_j(rho.basis, PairAxis(0, 2, beta=1.0, phi=0.5))
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            with pytest.raises(ValueError, match="nu"):
+                qfi_mixed(rho, gen, nu=nu)
+        assert eigh.call_count == 0
 
     def test_rejects_non_psd(self):
         basis = build_basis(1, 1)
@@ -378,14 +436,8 @@ class TestFisherInformation:
         povm = random_projective_povm(rng, basis.dim)
         kappa0 = 0.6
 
-        w, vecs = np.linalg.eigh(gen.matrix)
-        u = (vecs * np.exp(1j * kappa0 * w)) @ vecs.conj().T
-        rho_k = u @ rho.matrix @ u.conj().T
-        drho = 1j * (gen.matrix @ rho_k - rho_k @ gen.matrix)
-        p = np.array([np.real(np.trace(e @ rho_k)) for e in povm.elements])
-        dp = np.array([np.real(np.trace(e @ drho)) for e in povm.elements])
+        p, expected = dense_analytic_fisher(rho.matrix, gen, povm, kappa0)
         assert p.min() > 1e-6
-        expected = float(np.sum(dp**2 / p))
 
         fi = fisher_information(rho, gen, povm, kappa0=kappa0, method="analytic")
         assert abs(fi - expected) <= 1e-12 * max(1.0, expected)
@@ -421,6 +473,104 @@ class TestOptimalPovm:
         povm = optimal_povm(rho, gen, kappa0=0.37)
         fi = fisher_information(rho, gen, povm, kappa0=0.37)
         assert 0.999 <= fi / qfi <= 1.001
+
+
+@st.composite
+def cfi_cases(draw):
+    """(state, generator, block diagonal?) for the CFI layer.
+
+    Block diagonal: a random lossy four-mode probe, N <= 6, reduced to
+    modes 0-2, under an off-axis J_n on (0, 2).  Sector mixing: a
+    blended coherent probe under n, or a blended fixed-N probe under p.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lossy", "coherent", "quadrature"]))
+    if kind == "lossy":
+        n_total = draw(st.integers(1, 6))
+        n1, n2 = np.meshgrid(np.arange(n_total + 1), np.arange(n_total + 1), indexing="ij")
+        shape = (n_total + 1, n_total + 1)
+        c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (n1 + n2 <= n_total)
+        probe = general_probe(c / np.linalg.norm(c), n_total)
+        rho = lossy_probe(probe, draw(st.integers(0, 2)), draw(st.floats(0.2, 1.3)))
+        return rho, schwinger_j(rho.basis, random_axis(rng, 0, 2)), True
+    if kind == "coherent":
+        alpha = draw(st.floats(0.3, 1.5)) * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        pure = coherent_truncated(alpha, coherent_cutoff(alpha))
+        gen = number_op(pure.basis, 0)
+    else:
+        n_total = draw(st.integers(1, 5))
+        pure = two_mode_fixed_n(random_profile(rng, n_total + 1), n_total)
+        gen = quadrature_p(pure.basis, draw(st.integers(0, 1)))
+    dim = pure.basis.dim
+    purity = draw(st.floats(0.5, 1.0))
+    blend = purity * pure.density_matrix() + (1.0 - purity) * np.eye(dim) / dim
+    return MixedState(pure.basis, blend), gen, False
+
+
+def block_of(matrix, basis):
+    """Whether `matrix` has no nonzero outside the sector blocks of `basis`."""
+    return np.count_nonzero(matrix) == sum(np.count_nonzero(matrix[b, b]) for b in basis.sectors())
+
+
+class TestSectorBlocks:
+    """The CFI layer by total-number sector, against full-matrix references."""
+
+    @given(cfi_cases(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_basis_probabilities_match_element_traces(self, case, seed, kappa0):
+        rho, gen, blocky = case
+        basis = rho.basis
+        rho_k = dense_evolved(rho.matrix, gen, kappa0)
+        sectors = basis.sectors()
+        for povm in (optimal_povm(rho, gen, kappa0), random_projective_povm(
+                np.random.default_rng(seed), basis.dim)):
+            expected = element_traces(povm, rho_k)
+            whole = _outcome_probs(povm, [slice(None)], [rho_k])
+            assert np.max(np.abs(whole - expected)) <= 1e-14
+            if blocky:
+                by_sector = _outcome_probs(povm, sectors, [rho_k[b, b] for b in sectors])
+                assert np.max(np.abs(by_sector - expected)) <= 1e-14
+
+    @given(cfi_cases(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_analytic_fisher_matches_dense_reference(self, case, seed, kappa0):
+        rho, gen, _ = case
+        povm = random_projective_povm(np.random.default_rng(seed), rho.basis.dim)
+        p, expected = dense_analytic_fisher(rho.matrix, gen, povm, kappa0)
+        assume(p.min() > 1e-6)
+        fi = fisher_information(rho, gen, povm, kappa0=kappa0, method="analytic")
+        assert abs(fi - expected) <= 1e-12 * max(1.0, expected)
+
+    @given(cfi_cases(), st.floats(0.0, 1.0))
+    def test_optimal_povm_is_block_diagonal_and_sector_sized(self, case, kappa0):
+        rho, gen, blocky = case
+        basis = rho.basis
+        assert blocky == (block_of(rho.matrix, basis) and block_of(gen.matrix, basis))
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            povm = optimal_povm(rho, gen, kappa0=kappa0)
+        # one eigh of H, of rho(kappa0) and of the SLD on each block
+        sizes = sorted(c.args[0].shape[0] for c in eigh.call_args_list)
+        blocks = [basis.sector_dim(s) for s in range(basis.n_total + 1)] if blocky else [basis.dim]
+        assert sizes == sorted(3 * blocks)
+        if blocky:
+            assert block_of(povm.vectors, basis)
+        projective_povm(povm.vectors)  # orthonormal within 1e-10
+
+    @given(cfi_cases(), st.floats(0.0, 1.0))
+    def test_elements_are_a_cached_read_only_view(self, case, kappa0):
+        rho, gen, _ = case
+        povm = optimal_povm(rho, gen, kappa0=kappa0)
+        assert not povm.vectors.flags.writeable
+        assert len(povm) == povm.dim == rho.basis.dim
+        elements = povm.elements
+        assert povm.elements is elements
+        assert len(elements) == len(povm)
+        for e, v in zip(elements, povm.vectors.T):
+            assert not e.flags.writeable
+            np.testing.assert_array_equal(e, np.outer(v, v.conj()))
+
+    def test_projective_povm_copies_its_input(self):
+        vectors = np.eye(3, dtype=complex)
+        povm = projective_povm(vectors)
+        assert vectors.flags.writeable and povm.vectors is not vectors
 
 
 class TestPovmValidation:
