@@ -567,11 +567,6 @@ class TestSectorBlocks:
             assert not e.flags.writeable
             np.testing.assert_array_equal(e, np.outer(v, v.conj()))
 
-    def test_projective_povm_copies_its_input(self):
-        vectors = np.eye(3, dtype=complex)
-        povm = projective_povm(vectors)
-        assert vectors.flags.writeable and povm.vectors is not vectors
-
 
 class TestPovmValidation:
     def test_rejects_incomplete(self):
@@ -610,6 +605,11 @@ class TestPovmValidation:
     def test_accepts_projective(self):
         povm = projective_povm(np.eye(4))
         assert len(povm) == 4
+
+    def test_projective_povm_copies_its_input(self):
+        vectors = np.eye(3, dtype=complex)
+        povm = projective_povm(vectors)
+        assert vectors.flags.writeable and povm.vectors is not vectors
 
 
 class TestPrecisionChain:
