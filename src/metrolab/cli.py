@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import NORM_ATOL, fidelity
+from .fock import NORM_ATOL, FockBasis, build_basis, fidelity
 from .operators import PairAxis, number_op, schwinger_j
 from .states import (
     coherent_cutoff,
@@ -155,7 +155,7 @@ def _checked(params, name, spec, errors):
 
 
 def _check_dim(num_modes: int, n_total: int, errors) -> None:
-    dim = math.comb(n_total + num_modes, num_modes)
+    dim = FockBasis(num_modes, n_total).dim
     cap = max_dim()
     if dim > cap:
         errors.append(
@@ -182,17 +182,13 @@ def _validate_noon_scaling(params, errors):
 
 
 def _run_cat_vs_noon(params, rng):
-    nop_cache = {}
     rows = []
     for alpha in params["alphas"]:
         cutoff = coherent_cutoff(alpha)
         cat = cv_cat(alpha, cutoff)
-        if cutoff not in nop_cache:
-            nop_cache[cutoff] = number_op(cat.basis, 0)
-        nop = nop_cache[cutoff]
         probs = np.abs(cat.amplitudes) ** 2
         nbar = float(probs @ np.arange(cutoff + 1))
-        qfi_cat = qfi_pure(cat, nop).qfi
+        qfi_cat = qfi_pure(cat, number_op(cat.basis, 0)).qfi
         n_noon = max(1, round(nbar))
         rows.append((alpha, nbar, qfi_cat, n_noon, float(n_noon) ** 2))
     return ["alpha", "cat_nbar", "cat_qfi", "noon_n", "noon_qfi"], rows, []
@@ -272,11 +268,11 @@ def _run_lossy_sweep(params, rng):
             coeffs[n, n] = 1.0
         coeffs /= np.linalg.norm(coeffs)
     probe = general_probe(coeffs, n_total)
-    rows = []
-    for kappa in params["kappas"]:
-        rho = lossy_probe(probe, probe_mode, kappa)
-        jz = schwinger_j(rho.basis, PairAxis(0, 2, beta=0.0))
-        rows.append((kappa, qfi_mixed(rho, jz).qfi))
+    jz = schwinger_j(build_basis(3, n_total), PairAxis(0, 2, beta=0.0))  # every kappa's basis
+    rows = [
+        (kappa, qfi_mixed(lossy_probe(probe, probe_mode, kappa), jz).qfi)
+        for kappa in params["kappas"]
+    ]
     return ["kappa", "qfi"], rows, []
 
 

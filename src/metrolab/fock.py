@@ -65,23 +65,17 @@ class FockBasis:
     :meth:`occupations` table.
     """
 
-    __slots__ = (
-        "num_modes", "n_total", "dim", "_offsets", "_occ_table", "_pascal_table", "_sectors"
-    )
+    __slots__ = ("num_modes", "n_total", "dim", "_occ_table", "_pascal_table", "_sectors")
 
     def __init__(self, num_modes: int, n_total: int):
         num_modes = _arg("num_modes", num_modes, 1, kind=int)
         n_total = _arg("n_total", n_total, 0, kind=int)
         self.num_modes = num_modes
         self.n_total = n_total
-        # _offsets[s] = number of states with total photon number < s
-        self._offsets = [
-            math.comb(s + num_modes - 1, num_modes) for s in range(n_total + 2)
-        ]
-        self.dim = self._offsets[-1]
-        self._sectors = tuple(
-            slice(self._offsets[s], self._offsets[s + 1]) for s in range(n_total + 1)
-        )
+        # offsets[s] = number of states with total photon number < s
+        offsets = [math.comb(s + num_modes - 1, num_modes) for s in range(n_total + 2)]
+        self.dim = offsets[-1]
+        self._sectors = tuple(slice(offsets[s], offsets[s + 1]) for s in range(n_total + 1))
         self._occ_table = None
         self._pascal_table = None
 
@@ -269,6 +263,10 @@ class MixedState:
     def __repr__(self) -> str:
         return f"MixedState(basis={self.basis!r})"
 
+    def density_matrix(self) -> np.ndarray:
+        """The stored, read-only matrix, so either kind of state answers this call."""
+        return self.matrix
+
     def purity(self) -> float:
         """tr(rho^2), read as the sum of |rho_ij|^2 (rho is Hermitian)."""
         return float(np.real(np.vdot(self.matrix, self.matrix)))
@@ -303,10 +301,6 @@ def _hermiticity_residual(mat: np.ndarray) -> float:
         return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def _as_density(state: State) -> np.ndarray:
-    return state.density_matrix() if isinstance(state, PureState) else state.matrix
-
-
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     # Eigenvalues that are zero up to roundoff are zeroed exactly: taking
     # sqrt(1e-16)-sized noise would otherwise pollute the kernel block.
@@ -326,10 +320,9 @@ def fidelity(a: State, b: State) -> float:
     _check_same_basis(a, b)
     if isinstance(a, PureState) and isinstance(b, PureState):
         value = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
-    elif isinstance(a, PureState):
-        value = float(np.real(np.vdot(a.amplitudes, b.matrix @ a.amplitudes)))
-    elif isinstance(b, PureState):
-        value = float(np.real(np.vdot(b.amplitudes, a.matrix @ b.amplitudes)))
+    elif isinstance(a, PureState) or isinstance(b, PureState):
+        psi, rho = (a, b) if isinstance(a, PureState) else (b, a)
+        value = float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
     else:
         # tr sqrt(sqrt(rho) sigma sqrt(rho)) equals the trace norm of
         # sqrt(rho) sqrt(sigma); singular values avoid square-rooting
@@ -354,7 +347,7 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
     traced = [m for m in range(basis.num_modes) if m not in keep]
 
     if not traced:
-        return _exact(MixedState, basis=basis, matrix=_as_density(state))
+        return _exact(MixedState, basis=basis, matrix=state.density_matrix())
 
     reduced = build_basis(len(keep), basis.n_total)
     occ = basis.occupations()

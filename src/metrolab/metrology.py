@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import (
-    MixedState, PureState, State, _arg, _as_density, _check_same_basis, _exact,
+    MixedState, PureState, State, _arg, _check_same_basis, _exact,
     _hermiticity_residual,
 )
 from .operators import (
@@ -137,15 +137,18 @@ def variance(state: State, op: HermitianOp) -> float:
     the diagonal of the density matrix.
     """
     _check_same_basis(state, op)
-    mean = expectation(state, op)
     if isinstance(state, PureState):
-        dev = _applied(op, state.amplitudes) - mean * state.amplitudes
+        psi = state.amplitudes
+        h_psi = _applied(op, psi)  # once: it gives both the mean and the deviation
+        dev = h_psi - float(np.real(np.vdot(psi, h_psi))) * psi
         var = float(np.real(np.vdot(dev, dev)))
-    elif op.weights is not None:
-        var = float(np.real(np.diag(state.matrix)) @ (op.weights - mean) ** 2)
     else:
-        dev = op.matrix - mean * np.eye(op.basis.dim)
-        var = float(np.real(np.vdot(dev, state.matrix @ dev)))  # tr(rho D^2), D Hermitian
+        mean = expectation(state, op)
+        if op.weights is not None:
+            var = float(np.real(np.diag(state.matrix)) @ (op.weights - mean) ** 2)
+        else:
+            dev = op.matrix - mean * np.eye(op.basis.dim)
+            var = float(np.real(np.vdot(dev, state.matrix @ dev)))  # tr(rho D^2), D Hermitian
     if var < VARIANCE_FLOOR:
         raise ValueError(f"variance {var} below roundoff floor {VARIANCE_FLOOR}")
     return max(var, 0.0)
@@ -331,7 +334,7 @@ def fisher_information(
     dkappa = _arg("dkappa", dkappa, math.ulp(0.0))  # the least positive float: dkappa > 0
     if method not in ("central", "richardson", "analytic"):
         raise ValueError(f"unknown derivative method {method!r}")
-    rho = _as_density(state)
+    rho = state.density_matrix()
     h = generator.matrix
     spectrum = _spectrum(state.basis, h, rho)
     blocks = [block for block, _, _ in spectrum]
@@ -384,7 +387,7 @@ def optimal_povm(
     _check_same_basis(state, generator)
     kappa0 = _arg("kappa0", kappa0)
     floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
-    rho, h = _as_density(state), generator.matrix
+    rho, h = state.density_matrix(), generator.matrix
     spectrum = _spectrum(state.basis, h, rho)
     vectors = np.zeros_like(rho)
     for (block, _, _), rho_k in zip(spectrum, _evolved(spectrum, rho, kappa0)):

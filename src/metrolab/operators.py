@@ -76,7 +76,8 @@ class HermitianOp:
 
     A ``(dim,)`` real array is a diagonal operator, stored as that weight
     vector over the occupation table (``weights``); a ``(dim, dim)`` array
-    is a dense matrix (``weights`` is None).  ``matrix`` is the dense form,
+    is a dense matrix (``weights`` is None), stored as its exactly Hermitian
+    part, so sums and real multiples stay Hermitian.  ``matrix`` is the dense form,
     built once on first use for a diagonal operator.  Both are read-only.
     Sums, differences and real multiples of diagonal operators stay diagonal.
     """
@@ -96,9 +97,10 @@ class HermitianOp:
                 raise ValueError("operator is not Hermitian within 1e-12")
             weights.setflags(write=False)
         else:
-            mat = np.array(arr, dtype=complex)
+            mat = np.asarray(arr, dtype=complex)
             if not _hermiticity_residual(mat) <= HERMITICITY_ATOL:
                 raise ValueError("operator is not Hermitian within 1e-12")
+            mat = mat / 2 + mat.conj().T / 2  # (M + M†)/2, halved first so it cannot overflow
             mat.setflags(write=False)
         self.basis = basis
         self.weights = weights
@@ -138,7 +140,7 @@ class HermitianOp:
             if scalar.imag != 0:
                 raise TypeError("only real scalars preserve hermiticity")
             scalar = scalar.real
-        return HermitianOp(self.basis, float(scalar) * self._data())
+        return HermitianOp(self.basis, _arg("scalar", scalar) * self._data())
 
     __rmul__ = __mul__
 
@@ -180,32 +182,31 @@ def _check_mode(basis: FockBasis, mode: int) -> int:
     return _arg("mode", mode, 0, basis.num_modes - 1, kind=int)
 
 
+def _ladder_entries(basis: FockBasis, j: int, i: int | None = None) -> tuple[np.ndarray, ...]:
+    """(rows, cols, amplitudes) of the nonzeros of aj, or of ai† aj (i != j), one per column."""
+    occ = basis.occupations()
+    cols = np.nonzero(occ[:, j] > 0)[0]
+    target = occ[cols]
+    if i is None:
+        amp = np.sqrt(target[:, j])
+    else:
+        amp = np.sqrt((target[:, i] + 1) * target[:, j])
+        target[:, i] += 1
+    target[:, j] -= 1
+    return basis.rank(target), cols, amp
+
+
 def annihilation(basis: FockBasis, mode: int) -> np.ndarray:
     """Matrix of a_mode: removes a photon with amplitude sqrt(n)."""
-    mode = _check_mode(basis, mode)
-    occ = basis.occupations()
-    cols = np.nonzero(occ[:, mode] > 0)[0]
-    target = occ[cols]
-    target[:, mode] -= 1
+    rows, cols, amp = _ladder_entries(basis, _check_mode(basis, mode))
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    mat[basis.rank(target), cols] = np.sqrt(occ[cols, mode])
+    mat[rows, cols] = amp
     return mat
 
 
 def creation(basis: FockBasis, mode: int) -> np.ndarray:
     """Adjoint of :func:`annihilation`; truncates at the cutoff sector."""
     return annihilation(basis, mode).conj().T
-
-
-def _hopping_entries(basis: FockBasis, i: int, j: int) -> tuple[np.ndarray, ...]:
-    """(rows, cols, amplitudes) of the nonzeros of ai† aj (i != j), one per column."""
-    occ = basis.occupations()
-    cols = np.nonzero(occ[:, j] > 0)[0]
-    target = occ[cols]
-    amp = np.sqrt((target[:, i] + 1) * target[:, j])
-    target[:, i] += 1
-    target[:, j] -= 1
-    return basis.rank(target), cols, amp
 
 
 def number_op(basis: FockBasis, mode: int) -> HermitianOp:
@@ -234,7 +235,7 @@ def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
     diag = nz * (occ[:, i] - occ[:, j]) / 2.0
     label = f"J[beta={pair.beta:.6g},phi={pair.phi:.6g}]({i},{j})"
     if abs(nx) > _AXIS_TOL or abs(ny) > _AXIS_TOL:
-        rows, cols, amp = _hopping_entries(basis, i, j)
+        rows, cols, amp = _ladder_entries(basis, j, i=i)
         amp = amp.astype(complex)
         mat = np.zeros((basis.dim, basis.dim), dtype=complex)
         np.fill_diagonal(mat, diag)

@@ -12,7 +12,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .fock import NORM_ATOL, PureState, _arg, build_basis
 from .operators import PairAxis, rotation_unitary
@@ -69,10 +68,7 @@ def rotated_fock(n_total: int, theta: float, phi: float = 0.0) -> PureState:
         [math.sqrt(math.comb(n_total, int(kk))) for kk in k], dtype=complex
     )
     coeffs *= c ** (n_total - k) * s**k
-    basis = build_basis(2, n_total)
-    amp = np.zeros(basis.dim, dtype=complex)
-    amp[basis.sector_slice(n_total)] = coeffs
-    return PureState(basis, amp, normalize=True)
+    return two_mode_fixed_n(coeffs, n_total)
 
 
 def rotation_axis_for(phi: float) -> PairAxis:
@@ -96,6 +92,8 @@ def fock_cat(n_total: int, theta: float, phi: float = 0.0) -> PureState:
 
 def coherent_cutoff(alpha: complex, tail: float = COHERENT_TAIL_TOL) -> int:
     """Smallest cutoff whose Poisson tail P(n > cutoff) is below `tail`."""
+    from scipy.special import pdtrc  # here, so importing metrolab does not load scipy
+
     mean = _arg("|alpha|", abs(alpha)) ** 2
     tail = _arg("tail", tail, math.ulp(0.0))  # the least positive float: tail > 0
     cutoff = max(int(mean), 0)
@@ -109,6 +107,8 @@ def coherent_truncated(alpha: complex, cutoff: int) -> PureState:
 
     Raises if the discarded Poisson tail is not below 1e-12.
     """
+    from scipy.special import pdtrc
+
     cutoff = _arg("cutoff", cutoff, 0, kind=int)
     if pdtrc(cutoff, _arg("|alpha|", abs(alpha)) ** 2) >= COHERENT_TAIL_TOL:
         raise ValueError(
@@ -172,9 +172,7 @@ def general_probe(
     outside = (n1g + n2g > n_total) & (c != 0)
     if np.any(outside):
         raise ValueError("coefficients outside the n1 + n2 <= n_total region")
-    nrm = float(np.linalg.norm(c))
-    if not abs(nrm - 1.0) <= NORM_ATOL:
-        raise ValueError(f"coefficient norm {nrm} is not 1 within {NORM_ATOL}")
+    _checked_profile(c, c.size)
     env_occupation = _arg("env_occupation", env_occupation, 0, kind=int)
 
     basis = build_basis(4, n_total + env_occupation)

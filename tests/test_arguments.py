@@ -57,6 +57,7 @@ GEN = schwinger_j(RHO.basis, PairAxis(0, 2))
 POVM = optimal_povm(RHO, GEN)
 COHERENT = coherent_truncated(0.5, 30)
 AXIS = PairAxis(0, 1, beta=1.0, phi=0.3)
+DENSE_J = schwinger_j(BASIS, AXIS)
 
 # (entry point and argument, name the message must contain, call with the
 # argument replaced, an out-of-range value or None for an unbounded float)
@@ -72,6 +73,8 @@ CASES = [
     ("PairAxis-beta", "beta", lambda v: PairAxis(0, 1, beta=v), None),
     ("PairAxis-phi", "phi", lambda v: PairAxis(0, 1, phi=v), None),
     ("number_op-mode", "mode", lambda v: number_op(BASIS, v), 2),
+    ("HermitianOp-scalar-diagonal", "scalar", lambda v: NOON_JZ * v, None),
+    ("HermitianOp-scalar-dense", "scalar", lambda v: v * DENSE_J, None),
     ("rotation_unitary-angle", "angle", lambda v: rotation_unitary(BASIS, AXIS, v), None),
     ("spin_squeeze_unitary-gamma", "gamma", lambda v: spin_squeeze_unitary(BASIS, AXIS, v), None),
     ("weighted_number-zeta", "zeta", lambda v: weighted_number(BASIS, v), None),

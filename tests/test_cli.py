@@ -15,6 +15,15 @@ from metrolab.cli import (
     run_scenario,
     validate_config,
 )
+from metrolab import (
+    PairAxis,
+    correlated_three_mode,
+    general_probe,
+    lossy_probe,
+    qfi_mixed,
+    schwinger_j,
+    sweep_qfi_vs_zeta,
+)
 from metrolab.operators import _pair_spectrum
 
 
@@ -117,6 +126,31 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "config must be a JSON object"),
+            ({"scenario": "noon-scaling", "params": [1]}, "params: expected an object"),
+            (
+                {"scenario": "noon-scaling", "params": {"n_values": []}},
+                "params.n_values: expected a non-empty list",
+            ),
+            (
+                {"scenario": "zeta-optimize", "params": {"n_total": 4, "coeffs": [1.0, 0.5]}},
+                "params.coeffs: expected a list of 3 numbers",
+            ),
+            (
+                {"scenario": "cv-convergence", "params": {"alpha": 2.0, "n_values": [3, 10]}},
+                "params.alpha: alpha^2 = 4 exceeds the smallest n_value 3",
+            ),
+        ],
+        ids=["not-an-object", "params-not-an-object", "empty-list", "coeffs-length", "alpha"],
+    )
+    def test_rejects_with_one_message(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            validate_config(json.dumps(doc))
+        assert len(err.value.errors) == 1 and err.value.errors[0].startswith(message)
+
 
 class TestScenarios:
     def test_noon_scaling_values(self, tmp_path):
@@ -158,6 +192,41 @@ class TestScenarios:
         _, rows = read_rows(out)
         qfis = [float(r[1]) for r in rows]
         assert all(b <= a + 1e-8 for a, b in zip(qfis, qfis[1:]))
+
+    def test_correlated_lossy_sweep_matches_the_library_chain(self, tmp_path):
+        n_total, kappas = 4, [0.0, 0.7, 2.0]
+        doc = {
+            "scenario": "lossy-sweep",
+            "params": {"n_total": n_total, "probe": "correlated", "kappas": kappas},
+        }
+        config = validate_config(json.dumps(doc))
+        config.output_path = str(tmp_path / "lossy.csv")
+        assert run_scenario(config) == 0
+        _, rows = read_rows(tmp_path / "lossy.csv")
+        coeffs = np.diag([1.0, 1.0, 1.0, 0.0, 0.0]).astype(complex) / math.sqrt(3)
+        probe = general_probe(coeffs, n_total)
+        assert [float(r[0]) for r in rows] == kappas
+        for kappa, row in zip(kappas, rows):
+            rho = lossy_probe(probe, 0, kappa)
+            qfi = qfi_mixed(rho, schwinger_j(rho.basis, PairAxis(0, 2, beta=0.0))).qfi
+            assert abs(float(row[1]) - qfi) <= 1e-12
+
+    def test_zeta_optimize_with_given_coeffs(self, tmp_path, capsys):
+        coeffs, grid_points = [0.3, -1.2, 0.5, 2.0], 8
+        doc = {
+            "scenario": "zeta-optimize",
+            "params": {"n_total": 6, "coeffs": coeffs, "grid_points": grid_points},
+        }
+        config = validate_config(json.dumps(doc))
+        config.output_path = str(tmp_path / "zeta.csv")
+        assert run_scenario(config) == 0
+        _, rows = read_rows(tmp_path / "zeta.csv")
+        raw = np.asarray(coeffs, dtype=complex)
+        state = correlated_three_mode(raw / np.linalg.norm(raw), 6)
+        grid = np.linspace(0.0, math.pi, grid_points, endpoint=False)
+        expected = sweep_qfi_vs_zeta(state, grid)
+        np.testing.assert_array_equal(np.array(rows, dtype=float), expected)
+        assert "zeta_opt = " in capsys.readouterr().out
 
     def test_lossy_sweep_decomposes_its_coupling_once(self, tmp_path):
         """k kappas cost one eigh per sector of the 4-mode coupling, plus one per rho."""
@@ -255,6 +324,14 @@ class TestMain:
             == 0
         )
         assert out_a.read_bytes() != out_c.read_bytes()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, {"scenario": "noon-scaling"})
+        out = tmp_path / "out.csv"
+        argv = ["run", "--config", str(config_path), "--seed", "-1", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+        assert not out.exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"scenario": "nope"})

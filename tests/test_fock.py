@@ -240,6 +240,18 @@ class TestStates:
         masses = state.sector_masses()
         assert np.isclose(masses[4], 1.0)
         assert np.allclose(masses[:4], 0.0)
+        np.testing.assert_allclose(state.to_mixed().sector_masses(), masses, rtol=0, atol=1e-15)
+
+    def test_overlap(self):
+        state = noon(2)
+        assert np.isclose(state.overlap(state.basis.basis_state((2, 0))), 1 / math.sqrt(2))
+        assert state.overlap(state.basis.basis_state((1, 1))) == 0.0
+        with pytest.raises(ValueError, match="basis mismatch"):
+            state.overlap(noon(3))
+
+    def test_density_matrix_is_the_stored_matrix(self):
+        rho = noon(2).to_mixed()
+        assert rho.density_matrix() is rho.matrix
 
 
 class TestFidelity:
@@ -325,6 +337,8 @@ def test_fidelity_symmetric_and_in_unit_interval(basis, a_mixed, b_mixed, seed):
     forward, backward = fidelity(a, b), fidelity(b, a)
     assert 0.0 <= forward <= 1.0 and 0.0 <= backward <= 1.0
     assert abs(forward - backward) <= 1e-10
+    if a_mixed != b_mixed:  # a pure/mixed pair takes one branch, whichever comes first
+        assert forward == backward
     assert abs(fidelity(a, a) - 1.0) <= 1e-8
 
 

@@ -113,6 +113,16 @@ class TestVariance:
         with pytest.raises(ValueError):
             variance(noon(2), number_op(build_basis(2, 3), 0))
 
+    @pytest.mark.parametrize("axis", [Z_AXIS, dict(beta=1.1, phi=0.4)], ids=["diagonal", "dense"])
+    def test_pure_state_applies_the_operator_once(self, axis):
+        state = two_mode_fixed_n(np.array([0.6, 0.0, 0.8j, 0.0]), 3)
+        op = schwinger_j(state.basis, PairAxis(0, 1, **axis))
+        assert (op.weights is None) == (axis is not Z_AXIS)
+        with mock.patch.object(metrology, "_applied", wraps=metrology._applied) as applied:
+            var = variance(state, op)
+        assert applied.call_count == 1
+        assert abs(var - jn_variance_closed_form(state.amplitudes[-4:], 3, **axis)) <= 1e-12
+
     def test_mixed_state_variance(self):
         from metrolab import partial_trace
 
@@ -402,6 +412,8 @@ class TestFisherInformation:
         povm = Povm([np.eye(state.basis.dim)])
         with pytest.raises(ValueError):
             fisher_information(state, gen, povm, kappa0=0.0, dkappa=0.0)
+        with pytest.raises(ValueError, match="POVM dimension"):
+            fisher_information(state, gen, Povm([np.eye(state.basis.dim + 1)]), kappa0=0.0)
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             with pytest.raises(ValueError):
                 fisher_information(state, gen, povm, kappa0=0.0, method="nope")
@@ -572,6 +584,8 @@ class TestPovmValidation:
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError):
             Povm([np.eye(3) * 0.5])
+        with pytest.raises(ValueError, match="at least one element"):
+            Povm([])
 
     def test_rejects_non_psd(self):
         e1 = np.diag([1.5, 1.0, 1.0])

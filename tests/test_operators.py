@@ -32,7 +32,7 @@ from metrolab import (
     variance,
     weighted_number,
 )
-from metrolab.operators import _AXIS_TOL, _exp_i, _hopping_entries, _pair_spectrum, _spectrum
+from metrolab.operators import _AXIS_TOL, _exp_i, _ladder_entries, _pair_spectrum, _spectrum
 
 X_AXIS = dict(beta=math.pi / 2, phi=0.0)
 Y_AXIS = dict(beta=math.pi / 2, phi=math.pi / 2)
@@ -132,7 +132,7 @@ class TestLadder:
         for i in range(num_modes):
             for j in range(num_modes):
                 if i != j:
-                    rows, cols, amp = _hopping_entries(basis, i, j)
+                    rows, cols, amp = _ladder_entries(basis, j, i=i)
                     hop = np.zeros((basis.dim, basis.dim), dtype=complex)
                     hop[rows, cols] = amp
                     assert np.array_equal(hop, loop_hopping(basis, i, j))
@@ -547,6 +547,22 @@ class TestWrappers:
         op = schwinger_j(build_basis(2, 2), PairAxis(0, 1, **X_AXIS))
         with pytest.raises(TypeError):
             op * scalar
+
+    def test_dense_op_stores_its_exactly_hermitian_part(self):
+        """Input accepted with a residual stays Hermitian however it is summed or scaled."""
+        basis = build_basis(2, 3)
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((basis.dim, basis.dim)) + 1j * rng.standard_normal(
+            (basis.dim, basis.dim)
+        )
+        exact = g + g.conj().T
+        assert np.array_equal(HermitianOp(basis, exact).matrix, exact)  # its bits are kept
+        skew = np.zeros_like(exact)
+        skew[0, 1] = 4e-13
+        op = HermitianOp(basis, exact + skew)
+        np.testing.assert_allclose(op.matrix, exact + (skew + skew.T) / 2, rtol=0, atol=1e-15)
+        for combo in (op, 4.0 * op, op + op + op, op - 2.5 * op, -op):
+            assert np.array_equal(combo.matrix, combo.matrix.conj().T)
 
     def test_unitary_op_rejects_non_unitary(self):
         basis = build_basis(1, 1)

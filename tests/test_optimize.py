@@ -130,6 +130,10 @@ class TestOptimalWeights:
         assert aligned < 1e-10
         assert abs(weight_result.var_max - zeta_result.var_max) < 1e-10
 
+    def test_needs_two_modes(self):
+        with pytest.raises(ValueError, match="at least 2 modes"):
+            optimal_weights(noon(2), [0])
+
     def test_three_mode_weights_beat_any_pairwise_zeta(self):
         rng = np.random.default_rng(6)
         state = random_pure(rng, build_basis(3, 4))
@@ -344,6 +348,10 @@ class TestNumberCovariance:
         cov = number_covariance(state, (0, 1, 2))
         for m in range(3):
             assert abs(cov[m, m] - variance(state, number_op(state.basis, m))) < 1e-12
+
+    def test_default_modes_are_all_modes(self):
+        state = random_pure(np.random.default_rng(12), build_basis(3, 3))
+        np.testing.assert_array_equal(number_covariance(state), number_covariance(state, (0, 1, 2)))
 
     def test_mixed_state_input(self):
         from metrolab import partial_trace

@@ -5,10 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import metrolab
 from metrolab import (
     PairAxis,
+    PureState,
     build_basis,
     coherent_cutoff,
     coherent_truncated,
@@ -36,6 +39,20 @@ from metrolab import (
 def random_profile(rng, length):
     c = rng.standard_normal(length) + 1j * rng.standard_normal(length)
     return c / np.linalg.norm(c)
+
+
+def embedded_rotated_fock(n_total, theta, phi):
+    """Reference rotated_fock that writes its own fixed-N sector, as the factory once did."""
+    half = theta / 2.0
+    c = math.cos(half)
+    s = math.sin(half) * np.exp(1j * phi)
+    k = np.arange(n_total + 1)
+    coeffs = np.array([math.sqrt(math.comb(n_total, int(kk))) for kk in k], dtype=complex)
+    coeffs *= c ** (n_total - k) * s**k
+    basis = build_basis(2, n_total)
+    amp = np.zeros(basis.dim, dtype=complex)
+    amp[basis.sector_slice(n_total)] = coeffs
+    return PureState(basis, amp, normalize=True)
 
 
 class TestTwoModeFixedN:
@@ -87,6 +104,17 @@ class TestNoon:
 
 
 class TestRotatedFock:
+    @given(
+        st.integers(0, 400),
+        st.floats(-4 * math.pi, 4 * math.pi),
+        st.floats(-4 * math.pi, 4 * math.pi),
+    )
+    def test_matches_the_direct_embedding(self, n_total, theta, phi):
+        state = rotated_fock(n_total, theta, phi)
+        reference = embedded_rotated_fock(n_total, theta, phi)
+        assert state.basis == reference.basis
+        assert np.array_equal(state.amplitudes, reference.amplitudes)
+
     def test_poles(self):
         n_total = 5
         assert np.isclose(abs(rotated_fock(n_total, 0.0).amplitude((0, n_total))), 1.0)
@@ -287,13 +315,17 @@ class TestGeneralProbe:
     def test_rejects_mass_outside_triangle(self):
         c = np.zeros((3, 3), dtype=complex)
         c[2, 2] = 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the n1 \\+ n2 <= n_total region"):
             general_probe(c, 2)
+
+    def test_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"must be \(3, 3\), got \(2, 3\)"):
+            general_probe(np.eye(2, 3), 2)
 
     def test_rejects_unnormalized(self):
         c = np.zeros((3, 3), dtype=complex)
         c[0, 0] = 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coefficient norm 0.5 is not 1"):
             general_probe(c, 2)
 
     def test_rejects_invalid_gate_pair(self):
@@ -321,6 +353,20 @@ class TestReferenceHelpers:
         mixed_sector = basis.basis_state((0, 0))
         with pytest.raises(ValueError):
             drop_reference(mixed_sector)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: with_reference(noon(2), 4), "with_reference expects a single-mode state"),
+            (lambda: drop_reference(coherent_truncated(0.5, 30)),
+             "drop_reference expects a two-mode state"),
+            (lambda: cv_ratio(two_mode_fixed_n([1.0], 0)), "undefined for n_total = 0"),
+        ],
+        ids=["with_reference", "drop_reference", "cv_ratio"],
+    )
+    def test_guards(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_cv_ratio_shrinks_with_n(self):
         state = coherent_truncated(1.0, coherent_cutoff(1.0))
@@ -365,8 +411,12 @@ def test_profiles_reject_non_finite(factory, bad):
 
 
 def test_import_does_not_load_scipy_stats():
+    """Only the coherent-state factories load scipy, when they are first called."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(metrolab.__file__)))
-    code = "import sys, metrolab; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, metrolab, metrolab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
@@ -374,4 +424,4 @@ def test_import_does_not_load_scipy_stats():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -40,7 +40,9 @@ SCENARIOS = (
 # coupling of pair (1, 3) at dim 1820.  The largest lossy sweep, the
 # correlated probe at n_total 14 (dim 3060) over 4 kappas, reuses one
 # decomposition of its coupling.  Two runs sit at the argument caps:
-# `rotated_fock` at N = 400 and `coherent_cutoff` at alpha = 6.
+# `rotated_fock` at N = 400 and `coherent_cutoff` at alpha = 6.  The
+# cat-vs-noon alphas 1.0, 1.01 and 1.02 all take cutoff 14, so each
+# number operator after the first is one on a basis already seen.
 CONFIGS = {name: {"scenario": name} for name in SCENARIOS}
 CONFIGS.update({
     "variance-oracle-n60": {"scenario": "variance-oracle", "params": {"n_max": 60}},
@@ -75,6 +77,10 @@ CONFIGS.update({
         "params": {"alpha": 4.0, "n_values": [16, 100, 400]},
     },
     "cat-vs-noon-alpha6": {"scenario": "cat-vs-noon", "params": {"alphas": [0.1, 2.5, 6.0]}},
+    "cat-vs-noon-shared-cutoff": {
+        "scenario": "cat-vs-noon",
+        "params": {"alphas": [1.0, 1.01, 1.02]},
+    },
 })
 
 
