@@ -138,9 +138,8 @@ def variance(state: State, op: HermitianOp) -> float:
     """
     _check_same_basis(state, op)
     if isinstance(state, PureState):
-        psi = state.amplitudes
-        h_psi = _applied(op, psi)  # once: it gives both the mean and the deviation
-        dev = h_psi - float(np.real(np.vdot(psi, h_psi))) * psi
+        h_psi = _applied(op, state.amplitudes)  # once: it gives the mean and the deviation
+        dev = h_psi - float(np.real(np.vdot(state.amplitudes, h_psi))) * state.amplitudes
         var = float(np.real(np.vdot(dev, dev)))
     else:
         mean = expectation(state, op)

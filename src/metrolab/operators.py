@@ -77,8 +77,9 @@ class HermitianOp:
     A ``(dim,)`` real array is a diagonal operator, stored as that weight
     vector over the occupation table (``weights``); a ``(dim, dim)`` array
     is a dense matrix (``weights`` is None), stored as its exactly Hermitian
-    part, so sums and real multiples stay Hermitian.  ``matrix`` is the dense form,
-    built once on first use for a diagonal operator.  Both are read-only.
+    part (exactly Hermitian input keeps its bits), so sums and real
+    multiples pass the check again.  ``matrix`` is the dense form, built
+    once on first use for a diagonal operator.  Both are read-only.
     Sums, differences and real multiples of diagonal operators stay diagonal.
     """
 
@@ -97,10 +98,12 @@ class HermitianOp:
                 raise ValueError("operator is not Hermitian within 1e-12")
             weights.setflags(write=False)
         else:
-            mat = np.asarray(arr, dtype=complex)
-            if not _hermiticity_residual(mat) <= HERMITICITY_ATOL:
+            mat = np.array(arr, dtype=complex)
+            residual = _hermiticity_residual(mat)
+            if not residual <= HERMITICITY_ATOL:
                 raise ValueError("operator is not Hermitian within 1e-12")
-            mat = mat / 2 + mat.conj().T / 2  # (M + M†)/2, halved first so it cannot overflow
+            if residual:  # (M + M†)/2, halved first so that it cannot overflow
+                mat = mat / 2 + mat.conj().T / 2
             mat.setflags(write=False)
         self.basis = basis
         self.weights = weights

@@ -93,7 +93,6 @@ def fock_cat(n_total: int, theta: float, phi: float = 0.0) -> PureState:
 def coherent_cutoff(alpha: complex, tail: float = COHERENT_TAIL_TOL) -> int:
     """Smallest cutoff whose Poisson tail P(n > cutoff) is below `tail`."""
     from scipy.special import pdtrc  # here, so importing metrolab does not load scipy
-
     mean = _arg("|alpha|", abs(alpha)) ** 2
     tail = _arg("tail", tail, math.ulp(0.0))  # the least positive float: tail > 0
     cutoff = max(int(mean), 0)
@@ -108,7 +107,6 @@ def coherent_truncated(alpha: complex, cutoff: int) -> PureState:
     Raises if the discarded Poisson tail is not below 1e-12.
     """
     from scipy.special import pdtrc
-
     cutoff = _arg("cutoff", cutoff, 0, kind=int)
     if pdtrc(cutoff, _arg("|alpha|", abs(alpha)) ** 2) >= COHERENT_TAIL_TOL:
         raise ValueError(

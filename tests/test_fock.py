@@ -220,6 +220,8 @@ class TestStates:
             MixedState(basis, [[0.7, 0], [0, 0.7]])  # trace 1.4
         with pytest.raises(ValueError):
             MixedState(basis, [[1.5, 0], [0, -0.5]])  # negative eigenvalue
+        with pytest.raises(ValueError, match="basis dim is 2"):
+            MixedState(basis, [[1.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_mixed_state_rejects_non_finite(self, bad):

@@ -563,11 +563,18 @@ class TestWrappers:
         np.testing.assert_allclose(op.matrix, exact + (skew + skew.T) / 2, rtol=0, atol=1e-15)
         for combo in (op, 4.0 * op, op + op + op, op - 2.5 * op, -op):
             assert np.array_equal(combo.matrix, combo.matrix.conj().T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            huge = HermitianOp(basis, np.diag(np.full(basis.dim, 1e308)) + skew)
+        assert np.all(np.isfinite(huge.matrix))
+        assert np.array_equal(huge.matrix, huge.matrix.conj().T)
 
     def test_unitary_op_rejects_non_unitary(self):
         basis = build_basis(1, 1)
         with pytest.raises(ValueError):
             UnitaryOp(basis, [[1, 0], [0, 2]])
+        with pytest.raises(ValueError, match="does not match dim 2"):
+            UnitaryOp(basis, np.eye(3))
 
     def test_unitary_apply_keeps_norm(self):
         basis = build_basis(2, 3)
