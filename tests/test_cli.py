@@ -7,14 +7,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from metrolab.cli import (
-    ConfigError,
-    ScenarioConfig,
-    SCENARIOS,
-    main,
-    run_scenario,
-    validate_config,
-)
 from metrolab import (
     PairAxis,
     correlated_three_mode,
@@ -23,6 +15,14 @@ from metrolab import (
     qfi_mixed,
     schwinger_j,
     sweep_qfi_vs_zeta,
+)
+from metrolab.cli import (
+    ConfigError,
+    ScenarioConfig,
+    SCENARIOS,
+    main,
+    run_scenario,
+    validate_config,
 )
 from metrolab.operators import _pair_spectrum
 
