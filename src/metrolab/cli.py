@@ -82,6 +82,13 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _why(exc: Exception) -> str:
+    """Why a file could not be opened, read or written, without the path that str(exc) repeats."""
+    if isinstance(exc, UnicodeError):
+        return f"not valid {exc.encoding}: {exc.reason}"
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(SCHEMA_LINE + "\n")
@@ -415,8 +422,9 @@ def run_scenario(config: ScenarioConfig, stream=None) -> int:
         return 1
     try:
         _write_csv(config.output_path, header, rows)
-    except OSError as exc:
-        print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # ValueError: a null byte or an unencodable path
+        print(f"error: cannot write {reprlib.repr(config.output_path)}: {_why(exc)}",
+              file=sys.stderr)
         return 1
     for note in notes:
         print(note, file=stream)
@@ -452,8 +460,8 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {reprlib.repr(args.config)}: {_why(exc)}", file=sys.stderr)
         return 2
 
     try:

@@ -46,6 +46,17 @@ def _arg(name: str, value, lo=-math.inf, hi=math.inf, kind=float):
     return kind(value)
 
 
+def _checked_profile(coeffs, expected_len: int) -> np.ndarray:
+    """`coeffs` as a flat complex vector, checked to hold `expected_len` entries of unit norm."""
+    c = np.asarray(coeffs, dtype=complex).ravel()
+    if c.shape != (expected_len,):
+        raise ValueError(f"expected {expected_len} coefficients, got {c.shape}")
+    nrm = float(np.linalg.norm(c))
+    if not abs(nrm - 1.0) <= NORM_ATOL:
+        raise ValueError(f"coefficient norm {nrm} is not 1 within {NORM_ATOL}")
+    return c
+
+
 def _compositions(total: int, parts: int):
     """Yield tuples of `parts` non-negative ints summing to `total`, in lex order."""
     if parts == 1:
@@ -92,7 +103,8 @@ class FockBasis:
 
     def sector_dim(self, s: int) -> int:
         """Number of basis states with total photon number exactly `s`."""
-        return math.comb(s + self.num_modes - 1, self.num_modes - 1)
+        block = self.sector_slice(s)
+        return block.stop - block.start
 
     def sector_slice(self, s: int) -> slice:
         """Contiguous index range of the total-photon-number-`s` sector.
@@ -131,7 +143,17 @@ class FockBasis:
         ``C(rem + left, left) - C(rem - occ[j] + left, left)`` to the
         offset of its sector.
         """
-        rows = np.asarray(occ, dtype=np.int64)
+        rows = np.asarray(occ)
+        if rows.dtype.kind != "i":  # a float must be integral; 0.5, NaN or "1" is refused
+            with np.errstate(invalid="ignore"):
+                try:
+                    whole = rows.astype(np.int64)
+                except (TypeError, ValueError, OverflowError):
+                    whole = None
+            if whole is None or not np.array_equal(whole, rows):
+                raise ValueError(f"occupation {reprlib.repr(occ)} is not integral")
+            rows = whole
+        rows = rows.astype(np.int64, copy=False)
         single = rows.ndim == 1
         rows = rows.reshape(1, -1) if single else rows
         width = rows.shape[-1] if rows.ndim else 0
@@ -354,19 +376,14 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
     kept_rank = reduced.rank(occ[:, keep])
     traced_key = build_basis(len(traced), basis.n_total).rank(occ[:, traced])
 
+    pure = isinstance(state, PureState)
+    amp = state.amplitudes if pure else None
     out = np.zeros((reduced.dim, reduced.dim), dtype=complex)
-    if isinstance(state, PureState):
-        amp = state.amplitudes
-        for key in np.unique(traced_key[np.abs(amp) > 0]):
-            idx = np.nonzero(traced_key == key)[0]
-            v = np.zeros(reduced.dim, dtype=complex)
-            v[kept_rank[idx]] = amp[idx]
-            out += np.outer(v, v.conj())
-    else:
-        rho = state.matrix
-        for key in np.unique(traced_key):
-            idx = np.nonzero(traced_key == key)[0]
-            out[np.ix_(kept_rank[idx], kept_rank[idx])] += rho[np.ix_(idx, idx)]
+    # a pure state's configurations of zero amplitude add nothing, so they are skipped
+    for key in np.unique(traced_key[np.abs(amp) > 0] if pure else traced_key):
+        idx = np.nonzero(traced_key == key)[0]
+        block = np.outer(amp[idx], amp[idx].conj()) if pure else state.matrix[np.ix_(idx, idx)]
+        out[np.ix_(kept_rank[idx], kept_rank[idx])] += block
     out = (out + out.conj().T) / 2
     return _exact(MixedState, basis=reduced, matrix=out)
 

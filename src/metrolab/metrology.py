@@ -17,11 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .fock import (
-    MixedState, PureState, State, _arg, _check_same_basis, _exact,
-    _hermiticity_residual,
+    PureState, State, _arg, _check_same_basis, _checked_profile, _exact, _hermiticity_residual
 )
 from .operators import (
-    HermitianOp, _exp_i_blocks, _spectrum, _unitarity_residual, quadrature_p
+    HermitianOp, _blocks, _exp_i_blocks, _spectrum, _unitarity_residual, quadrature_p
 )
 
 VARIANCE_FLOOR = -1e-10
@@ -180,7 +179,7 @@ def _eigenframe(rho: np.ndarray, h: np.ndarray, floor: float):
 
 
 def qfi_mixed(
-    rho: MixedState,
+    rho: State,
     generator: HermitianOp,
     eigenvalue_floor: float = 1e-12,
     nu: int | None = None,
@@ -188,13 +187,14 @@ def qfi_mixed(
     """Exact mixed-state QFI from the SLD spectral formula.
 
     Q = 2 sum_{k,l} |<k|H|l>|^2 (p_k - p_l)^2 / (p_k + p_l) over
-    eigenpairs of rho with p_k + p_l > eigenvalue_floor.  Reduces to
-    4 Var(H) on rank-1 input.
+    eigenpairs of rho with p_k + p_l > eigenvalue_floor.  The formula
+    holds at every rank, so `rho` may be either kind of state; it
+    reduces to 4 Var(H) on rank-1 input.
     """
     _check_same_basis(rho, generator)
     floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
     nu = _checked_nu(nu)
-    _, h, sums, diffs, mask = _eigenframe(rho.matrix, generator._data(), floor)
+    _, h, sums, diffs, mask = _eigenframe(rho.density_matrix(), generator._data(), floor)
     weights = np.zeros_like(sums)
     weights[mask] = diffs[mask] ** 2 / sums[mask]
     qfi = 2.0 * float(np.sum(weights * np.abs(h) ** 2))
@@ -209,13 +209,12 @@ def jn_variance_closed_form(
     Combines the photon-number moments of |c_n|^2 with the
     nearest-neighbor (c_n c*_{n+1}) and next-nearest (c_n c*_{n+2})
     coherences, each carrying sqrt((n+1)(N-n))-type ladder weights.
-    Validated against the operator computation; see the test suite.
+    `coeffs` must have length N+1 and unit norm.  Validated against the
+    operator computation; see the test suite.
     """
     n_total = _arg("n_total", n_total, 0, kind=int)
     beta, phi = _arg("beta", beta), _arg("phi", phi)
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.shape != (n_total + 1,):
-        raise ValueError(f"expected {n_total + 1} coefficients, got {c.shape}")
+    c = _checked_profile(coeffs, n_total + 1)
     n = np.arange(len(c), dtype=float)
     probs = np.abs(c) ** 2
     nbar = float(probs @ n)
@@ -335,7 +334,7 @@ def fisher_information(
         raise ValueError(f"unknown derivative method {method!r}")
     rho = state.density_matrix()
     h = generator.matrix
-    spectrum = _spectrum(state.basis, h, rho)
+    spectrum = _spectrum(h, _blocks(state.basis, h, rho))
     blocks = [block for block, _, _ in spectrum]
 
     def probs(kappa: float) -> np.ndarray:
@@ -387,7 +386,7 @@ def optimal_povm(
     kappa0 = _arg("kappa0", kappa0)
     floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
     rho, h = state.density_matrix(), generator.matrix
-    spectrum = _spectrum(state.basis, h, rho)
+    spectrum = _spectrum(h, _blocks(state.basis, h, rho))
     vectors = np.zeros_like(rho)
     for (block, _, _), rho_k in zip(spectrum, _evolved(spectrum, rho, kappa0)):
         vecs, hk, sums, diffs, mask = _eigenframe(rho_k, h[block, block], floor)

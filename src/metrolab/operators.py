@@ -262,15 +262,13 @@ def _blocks(basis: FockBasis, *mats: np.ndarray) -> tuple[slice, ...]:
     return sectors
 
 
-def _spectrum(basis: FockBasis, h: np.ndarray, *others: np.ndarray) -> tuple:
-    """(block, w, v) per block of a Hermitian H, from one eigh each.
+def _spectrum(h: np.ndarray, blocks) -> tuple:
+    """(block, w, v) per block of a Hermitian H, block diagonal over `blocks`, one eigh each.
 
-    The blocks are :func:`_blocks` of H and `others`: the total-number
-    sectors, or the whole matrix when any of them mixes sectors.
+    Pair operators pass their basis's sectors, since they conserve number
+    by construction; input from a caller passes its :func:`_blocks`.
     """
-    return tuple(
-        (block, *np.linalg.eigh(h[block, block])) for block in _blocks(basis, h, *others)
-    )
+    return tuple((block, *np.linalg.eigh(h[block, block])) for block in blocks)
 
 
 def _exp_i_blocks(spectrum, phase_of):
@@ -295,7 +293,7 @@ def _pair_spectrum(basis: FockBasis, pair: PairAxis) -> tuple[str, tuple]:
     J_n once.  The dense J_n itself is not kept.
     """
     h = schwinger_j(basis, pair)
-    spectrum = _spectrum(basis, h.matrix)
+    spectrum = _spectrum(h.matrix, basis.sectors())
     for _, w, v in spectrum:
         w.setflags(write=False)
         v.setflags(write=False)

@@ -10,6 +10,7 @@ over any set of probe modes.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -149,14 +150,15 @@ def estimated_parameter(zeta: float, theta13: float, theta23: float) -> float:
     return theta
 
 
-def _axis_angles(axis) -> tuple[float, float]:
-    if isinstance(axis, str):
-        try:
-            return _NAMED_AXES[axis]
-        except KeyError:
-            raise ValueError(f"unknown axis {axis!r}; use 'x', 'y', 'z' or (beta, phi)")
-    beta, phi = axis
-    return float(beta), float(phi)
+def _axis_angles(axis) -> tuple:
+    """(beta, phi) of a named axis, or the pair itself unconverted, for PairAxis to check."""
+    try:
+        beta, phi = _NAMED_AXES[axis] if isinstance(axis, str) else axis
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(
+            f"axis must be 'x', 'y', 'z' or a pair (beta, phi), got {reprlib.repr(axis)}"
+        ) from None
+    return beta, phi
 
 
 def lossy_probe(
@@ -166,8 +168,9 @@ def lossy_probe(
 
     The input must be a four-mode pure state (modes 0-2 probes, mode 3
     environment).  The coupling is the rotation exp(i kappa J_axis) on
-    the (probe_mode, 3) pair, x-axis by default; kappa = pi transfers
-    the probe mode's photons entirely into the environment.
+    the (probe_mode, 3) pair; `axis` is 'x' (the default), 'y', 'z' or a
+    pair (beta, phi).  kappa = pi transfers the probe mode's photons
+    entirely into the environment.
     """
     if state.basis.num_modes != 4:
         raise ValueError("lossy_probe expects a four-mode state")

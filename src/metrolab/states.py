@@ -13,20 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import NORM_ATOL, PureState, _arg, build_basis
+from .fock import PureState, _arg, _checked_profile, build_basis
 from .operators import PairAxis, rotation_unitary
 
 COHERENT_TAIL_TOL = 1e-12
-
-
-def _checked_profile(coeffs, expected_len: int) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.shape != (expected_len,):
-        raise ValueError(f"expected {expected_len} coefficients, got {c.shape}")
-    nrm = float(np.linalg.norm(c))
-    if not abs(nrm - 1.0) <= NORM_ATOL:
-        raise ValueError(f"coefficient norm {nrm} is not 1 within {NORM_ATOL}")
-    return c
 
 
 def two_mode_fixed_n(coeffs: Sequence[complex], n_total: int) -> PureState:

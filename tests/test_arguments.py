@@ -30,6 +30,7 @@ from metrolab import (
     fock_cat,
     general_probe,
     jn_variance_closed_form,
+    jy_variance_closed_form,
     lossy_probe,
     noon,
     number_covariance,
@@ -65,6 +66,7 @@ CASES = [
     ("FockBasis-num_modes", "num_modes", lambda v: FockBasis(v, 2), 0),
     ("FockBasis-n_total", "n_total", lambda v: FockBasis(2, v), -1),
     ("sector_slice-s", "sector", lambda v: BASIS.sector_slice(v), 4),
+    ("sector_dim-s", "sector", lambda v: BASIS.sector_dim(v), 4),
     ("unrank-index", "index", lambda v: BASIS.unrank(v), BASIS.dim),
     ("expand_cutoff-n_total", "n_total", lambda v: NOON.expand_cutoff(v), 1),
     ("partial_trace-keep", "keep mode", lambda v: partial_trace(NOON, [v]), 2),
@@ -113,6 +115,11 @@ CASES = [
      lambda v: jn_variance_closed_form([0.6, 0.8], 1, v, 0.0), None),
     ("jn_variance_closed_form-phi", "phi",
      lambda v: jn_variance_closed_form([0.6, 0.8], 1, 0.5, v), None),
+    # out of range: a profile whose norm is not 1
+    ("jn_variance_closed_form-coeffs", "coefficient",
+     lambda v: jn_variance_closed_form([v, 0.8], 1, 0.5, 0.0), 0.7),
+    ("jy_variance_closed_form-coeffs", "coefficient",
+     lambda v: jy_variance_closed_form([v, v], 1), 2.0),
     ("estimated_parameter-zeta", "zeta", lambda v: estimated_parameter(v, 0.1, 0.1), None),
     ("estimated_parameter-theta13", "theta13",
      lambda v: estimated_parameter(math.pi / 4, v, 0.1), None),

@@ -475,11 +475,29 @@ class TestMain:
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
 
-    def test_unwritable_output(self, tmp_path, capsys):
+    def test_config_that_is_not_utf8_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"scenario": "noon-scaling", "output": "\xe9.csv"}'.encode("latin-1"))
+        for command in ("run", "validate"):
+            assert main([command, "--config", str(path)]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: cannot read")
+            assert "utf-8" in lines[0]
+
+    def test_unwritable_output(self, tmp_path, capsys, monkeypatch):
         config_path = write_config(tmp_path, {"scenario": "noon-scaling"})
         target = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["run", "--config", str(config_path), "--output", str(target)]) == 1
         assert "cannot write" in capsys.readouterr().err
+        # a null byte, a lone surrogate, and a long path echoed once and cut short
+        monkeypatch.chdir(tmp_path)
+        for output in ("a\x00b.csv", "\ud800.csv", str(tmp_path / "no" / ("x" * 300))):
+            config_path = write_config(tmp_path, {"scenario": "noon-scaling", "output": output})
+            assert main(["run", "--config", str(config_path)]) == 1
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+            assert len(lines[0]) <= 120 and captured.out == ""
 
     def test_runner_exception_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         def failing(params, rng):

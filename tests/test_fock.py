@@ -97,6 +97,9 @@ class TestBasis:
         for s, block in enumerate(sectors):
             assert block.stop - block.start == basis.sector_dim(s)
             assert np.all(totals[block] == s)
+        for s in (n_total + 1, -1):  # no such sector
+            with pytest.raises(ValueError, match="sector"):
+                basis.sector_dim(s)
 
     def test_rank_unrank_roundtrip(self):
         basis = build_basis(4, 8)
@@ -130,6 +133,14 @@ class TestBasis:
             basis.rank((-1, 1))
         with pytest.raises(ValueError, match="exceed"):
             build_basis(3, 4).rank((2**63 - 1, 2**63 - 1, 2))  # int64 sum wraps to 0
+        for occ in ((0.5, 1), (1.7, 0), (math.nan, 1), (math.inf, 0), ("1", "0")):
+            with pytest.raises(ValueError, match=r"occupation .* is not integral"):
+                basis.rank(occ)
+        with pytest.raises(ValueError, match="not integral"):
+            basis.basis_state([1.7, 0])
+        with pytest.raises(ValueError, match="not integral"):
+            noon(2).amplitude([2.9, 0])
+        assert basis.rank((1.0, 2.0)) == basis.rank(np.array([1, 2])) == basis.rank((1, 2))
 
     @given(basis_and_rows())
     def test_array_rank_matches_loop_reference(self, case):
@@ -344,7 +355,41 @@ def test_fidelity_symmetric_and_in_unit_interval(basis, a_mixed, b_mixed, seed):
     assert abs(fidelity(a, a) - 1.0) <= 1e-8
 
 
+def loop_partial_trace(state, keep):
+    """Reference reduction of a pure state: per traced configuration, a zeroed
+    reduced vector and one full outer product."""
+    basis = state.basis
+    traced = [m for m in range(basis.num_modes) if m not in keep]
+    reduced = build_basis(len(keep), basis.n_total)
+    occ = basis.occupations()
+    kept_rank = reduced.rank(occ[:, keep])
+    traced_key = build_basis(len(traced), basis.n_total).rank(occ[:, traced])
+    amp = state.amplitudes
+    out = np.zeros((reduced.dim, reduced.dim), dtype=complex)
+    for key in np.unique(traced_key[np.abs(amp) > 0]):
+        idx = np.nonzero(traced_key == key)[0]
+        v = np.zeros(reduced.dim, dtype=complex)
+        v[kept_rank[idx]] = amp[idx]
+        out += np.outer(v, v.conj())
+    return (out + out.conj().T) / 2
+
+
 class TestPartialTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 6), st.floats(0.0, 0.95), st.data())
+    def test_pure_input_matches_the_reference_loop_bit_for_bit(
+        self, num_modes, n_total, zero_fraction, data
+    ):
+        basis = build_basis(num_modes, n_total)
+        modes = st.integers(0, num_modes - 1)
+        keep = sorted(data.draw(st.sets(modes, min_size=1, max_size=num_modes - 1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        v[rng.random(basis.dim) < zero_fraction] = 0
+        v[data.draw(st.integers(0, basis.dim - 1))] = 1.0  # a sparse support, never empty
+        state = PureState(basis, v, normalize=True)
+        assert np.array_equal(partial_trace(state, keep).matrix, loop_partial_trace(state, keep))
+
     def test_product_state_reduces_to_projector(self):
         basis = build_basis(2, 4)
         state = basis.basis_state((4, 0))

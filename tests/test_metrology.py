@@ -199,6 +199,7 @@ class TestQfiMixed:
             state = two_mode_fixed_n(c, 4)
             gen = schwinger_j(state.basis, random_axis(rng))
             assert abs(qfi_mixed(state.to_mixed(), gen).qfi - qfi_pure(state, gen).qfi) < 1e-8
+            assert qfi_mixed(state, gen).qfi == qfi_mixed(state.to_mixed(), gen).qfi
 
     def test_maximally_mixed_zero(self):
         basis = build_basis(2, 2)

@@ -32,7 +32,9 @@ from metrolab import (
     variance,
     weighted_number,
 )
-from metrolab.operators import _AXIS_TOL, _exp_i, _ladder_entries, _pair_spectrum, _spectrum
+from metrolab.operators import (
+    _AXIS_TOL, _blocks, _exp_i, _ladder_entries, _pair_spectrum, _spectrum
+)
 
 X_AXIS = dict(beta=math.pi / 2, phi=0.0)
 Y_AXIS = dict(beta=math.pi / 2, phi=math.pi / 2)
@@ -357,7 +359,7 @@ def check_exp_i(h, kappa, sector_wise):
     """_exp_i(H) against scipy's expm(i kappa H), and which blocks it decomposed."""
     basis = h.basis
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-        u = _exp_i(basis, _spectrum(basis, h.matrix), lambda w: kappa * w)
+        u = _exp_i(basis, _spectrum(h.matrix, _blocks(basis, h.matrix)), lambda w: kappa * w)
     sectors = [basis.sector_dim(s) for s in range(basis.n_total + 1)]
     assert [c.args[0].shape[0] for c in eigh.call_args_list] == (
         sectors if sector_wise else [basis.dim]
@@ -450,6 +452,16 @@ class TestPairSpectrum:
         assert eigh.call_count == basis.n_total + 1
         rotation_unitary(basis, PairAxis(1, 2), 0.2)
         assert _pair_spectrum.cache_info().currsize == 1
+
+    def test_gates_run_no_sector_census(self):
+        """J_n conserves number by construction, so its gates never test for blocks."""
+        _pair_spectrum.cache_clear()
+        basis = build_basis(3, 4)
+        with mock.patch("metrolab.operators._blocks", wraps=_blocks) as census:
+            rotation_unitary(basis, PairAxis(0, 2, beta=1.0, phi=0.3), 0.4)
+            spin_squeeze_unitary(basis, PairAxis(0, 1, beta=0.7), 0.2)
+            rotation_unitary(basis, PairAxis(1, 2), 0.2)  # a z-axis pair
+        census.assert_not_called()
 
     def test_cached_arrays_are_read_only(self):
         basis = build_basis(2, 4)

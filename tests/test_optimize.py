@@ -224,6 +224,9 @@ class TestLossyProbe:
         assert abs(rho_z.purity() - 1.0) < 1e-10
         with pytest.raises(ValueError):
             lossy_probe(probe, 0, 0.5, axis="q")
+        for axis in (("1", "0"), (1.0,), None, (0.1, 0.2, 0.3), (math.nan, 0.0), 1.0):
+            with pytest.raises(ValueError, match="axis"):
+                lossy_probe(probe, 0, 0.5, axis=axis)
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):

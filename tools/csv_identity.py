@@ -9,7 +9,8 @@ other side.  Each side runs ``metrolab list-scenarios`` and the configs
 in CONFIGS, loading metrolab from its own ``src/``, and the exit status,
 stdout and CSV bytes are compared.  Prints one line per run, with each
 side's wall time, and exits 1 if any run differs or fails on either
-side, 0 if all are identical.
+side, 0 if all are identical.  A git failure, such as an unknown REF,
+prints one line and exits 2.
 """
 
 from __future__ import annotations
@@ -85,7 +86,13 @@ CONFIGS.update({
 
 
 def _git(root: str, *args: str) -> bytes:
-    return subprocess.run(["git", "-C", root, *args], check=True, capture_output=True).stdout
+    """stdout of a git command; on failure, git's last error line and exit status 2."""
+    proc = subprocess.run(["git", "-C", root, *args], capture_output=True)
+    if proc.returncode:
+        why = proc.stderr.decode(errors="replace").strip().splitlines() or ["no message"]
+        print(f"error: git {args[0]}: {why[-1]}", file=sys.stderr)
+        raise SystemExit(2)
+    return proc.stdout
 
 
 def _export(root: str, ref: str, dest: str) -> None:
