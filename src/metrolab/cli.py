@@ -9,9 +9,10 @@ A config is a JSON document {"scenario": ..., "params": {...},
 "output": ...}.  CLI flags override config fields.  Output is a CSV
 file with a "# schema=1" comment line, floats printed to 17 significant
 digits, UTF-8, LF line endings; identical config and seed reproduce the
-file byte for byte.  The environment variable METROLAB_MAX_DIM (a
-positive integer, default 4096) caps the basis dimension a scenario may
-request.  Non-finite numbers in the config are rejected.
+file byte for byte, at any BLAS thread count.  The environment variable
+METROLAB_MAX_DIM (a positive integer, default 4096) caps the basis
+dimension a scenario may request.  Non-finite numbers in the config are
+rejected.
 """
 
 from __future__ import annotations
@@ -26,21 +27,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import NORM_ATOL, FockBasis, build_basis, fidelity
+from .fock import NORM_ATOL, FockBasis, PureState, build_basis, fidelity
 from .operators import PairAxis, number_op, schwinger_j
 from .states import (
     coherent_cutoff,
     coherent_truncated,
     correlated_three_mode,
     cv_cat,
-    general_probe,
     noon,
     rotated_fock,
     two_mode_fixed_n,
     with_reference,
 )
 from .metrology import jn_variance_closed_form, qfi_mixed, qfi_pure, variance
-from .optimize import lossy_probe, optimal_zeta, sweep_qfi_vs_zeta
+from .optimize import loss_channel, optimal_zeta, sweep_qfi_vs_zeta
 
 SCHEMA_LINE = "# schema=1"
 DEFAULT_MAX_DIM = 4096
@@ -266,18 +266,17 @@ def _validate_zeta_optimize(params, errors):
 
 def _run_lossy_sweep(params, rng):
     n_total = params["n_total"]
-    probe_mode = params["probe_mode"]
-    coeffs = np.zeros((n_total + 1, n_total + 1), dtype=complex)
+    basis = build_basis(3, n_total)
     if params["probe"] == "noon":
-        coeffs[n_total, 0] = coeffs[0, n_total] = 1 / math.sqrt(2)
+        amp = np.zeros(basis.dim, dtype=complex)
+        amp[basis.rank([[n_total, 0, 0], [0, n_total, 0]])] = 1 / math.sqrt(2)
+        probe = PureState(basis, amp)
     else:
-        for n in range(n_total // 2 + 1):
-            coeffs[n, n] = 1.0
-        coeffs /= np.linalg.norm(coeffs)
-    probe = general_probe(coeffs, n_total)
-    jz = schwinger_j(build_basis(3, n_total), PairAxis(0, 2, beta=0.0))  # every kappa's basis
+        size = n_total // 2 + 1
+        probe = correlated_three_mode(np.full(size, 1 / math.sqrt(size)), n_total)
+    jz = schwinger_j(basis, PairAxis(0, 2, beta=0.0))
     rows = [
-        (kappa, qfi_mixed(lossy_probe(probe, probe_mode, kappa), jz).qfi)
+        (kappa, qfi_mixed(loss_channel(probe, params["probe_mode"], kappa), jz).qfi)
         for kappa in params["kappas"]
     ]
     return ["kappa", "qfi"], rows, []

@@ -189,16 +189,24 @@ def qfi_mixed(
     Q = 2 sum_{k,l} |<k|H|l>|^2 (p_k - p_l)^2 / (p_k + p_l) over
     eigenpairs of rho with p_k + p_l > eigenvalue_floor.  The formula
     holds at every rank, so `rho` may be either kind of state; it
-    reduces to 4 Var(H) on rank-1 input.
+    reduces to 4 Var(H) on rank-1 input.  When rho and H are block
+    diagonal over the total-number sectors, Q is the sum of each
+    sector's term, one eigendecomposition each; a sector-mixing input
+    is one whole-matrix block.
     """
     _check_same_basis(rho, generator)
     floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
     nu = _checked_nu(nu)
-    _, h, sums, diffs, mask = _eigenframe(rho.density_matrix(), generator._data(), floor)
-    weights = np.zeros_like(sums)
-    weights[mask] = diffs[mask] ** 2 / sums[mask]
-    qfi = 2.0 * float(np.sum(weights * np.abs(h) ** 2))
-    return _report(qfi, generator.label, nu)
+    mat, h = rho.density_matrix(), generator._data()
+    mats = (mat, h) if h.ndim == 2 else (mat,)  # a diagonal H never mixes sectors
+    total = 0.0
+    for block in _blocks(rho.basis, *mats):
+        hb = h[block, block] if h.ndim == 2 else h[block]
+        _, hk, sums, diffs, mask = _eigenframe(mat[block, block], hb, floor)
+        weights = np.zeros_like(sums)
+        weights[mask] = diffs[mask] ** 2 / sums[mask]
+        total += float(np.sum(weights * np.abs(hk) ** 2))
+    return _report(2.0 * total, generator.label, nu)
 
 
 def jn_variance_closed_form(

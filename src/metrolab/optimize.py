@@ -4,7 +4,9 @@ The phase generator n_zeta = cos(zeta) n0 + sin(zeta) n1 has variance
 determined by the 2x2 covariance matrix of the mode photon numbers, so
 the optimal weight angle is solved in closed form as its top
 eigenvector.  The K-mode generalization returns a unit weight vector
-over any set of probe modes.
+over any set of probe modes.  Loss on one mode is the closed-form
+binomial Kraus channel :func:`loss_channel`; :func:`lossy_probe` couples
+an explicit environment mode instead, and is its dense reference.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import MixedState, PureState, State, _arg, partial_trace
+from .fock import MixedState, PureState, State, _arg, _exact, partial_trace
 from .operators import PairAxis, rotation_unitary, weighted_number
 from .metrology import variance
 
@@ -170,7 +172,9 @@ def lossy_probe(
     environment).  The coupling is the rotation exp(i kappa J_axis) on
     the (probe_mode, 3) pair; `axis` is 'x' (the default), 'y', 'z' or a
     pair (beta, phi).  kappa = pi transfers the probe mode's photons
-    entirely into the environment.
+    entirely into the environment.  This is the dense, general path: any
+    axis and an occupied environment.  With the x axis and a vacuum
+    environment it is :func:`loss_channel`, its test reference.
     """
     if state.basis.num_modes != 4:
         raise ValueError("lossy_probe expects a four-mode state")
@@ -179,6 +183,42 @@ def lossy_probe(
     pair = PairAxis(probe_mode, 3, beta=beta, phi=phi)
     coupled = rotation_unitary(state.basis, pair, _arg("kappa", kappa)).apply(state)
     return partial_trace(coupled, keep=(0, 1, 2))
+
+
+def loss_channel(state: PureState, mode: int, kappa: float) -> MixedState:
+    """Loss on one mode: :func:`lossy_probe`'s x-axis coupling to a vacuum environment.
+
+    Works on any number of modes; the environment is implicit.  The beam
+    splitter exp(i kappa J_x) sends |n, 0> to
+    sum_l sqrt(C(n, l)) cos^(n-l)(kappa/2) (i sin(kappa/2))^l |n-l, l>, so
+    tracing out the environment applies the binomial Kraus operators
+    K_l = sum_n sqrt(C(n, l)) cos^(n-l)(kappa/2) sin^l(kappa/2) |n-l><n|
+    on `mode`, for l = 0..max n.  The phase i^l is global to each K_l and
+    drops out of rho = sum_l K_l |psi><psi| K_l†.  Distinct occupied
+    configurations stay distinct after losing l photons, so each K_l|psi>
+    is added as one outer product on the indices it reaches.  The channel
+    is trace preserving by construction, so the result is not re-checked.
+    """
+    if not isinstance(state, PureState):
+        raise TypeError("loss_channel expects a PureState")
+    basis = state.basis
+    mode = _arg("mode", mode, 0, basis.num_modes - 1, kind=int)
+    half = _arg("kappa", kappa) / 2
+    cos, sin = math.cos(half), math.sin(half)
+    occupied = np.flatnonzero(state.amplitudes)
+    occ = basis.occupations()[occupied]
+    amp = state.amplitudes[occupied]
+    n = occ[:, mode]
+    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for lost in range(int(n.max()) + 1):
+        hit = n >= lost
+        target = occ[hit]
+        target[:, mode] -= lost
+        idx = basis.rank(target)
+        kraus = [math.sqrt(math.comb(k, lost)) * cos ** (k - lost) * sin**lost for k in n[hit]]
+        v = amp[hit] * kraus
+        rho[np.ix_(idx, idx)] += np.outer(v, v.conj())
+    return _exact(MixedState, basis=basis, matrix=rho)
 
 
 def sweep_qfi_vs_zeta(state: State, zetas: Sequence[float]) -> np.ndarray:

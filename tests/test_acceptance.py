@@ -338,3 +338,20 @@ def test_c14_optimal_measurement_at_reduced_dim_455_budget():
     assert 0.999 <= fi / qfi <= 1.001, (fi, qfi)
     assert elapsed < 1.0, f"optimal_povm + fisher_information at dim 455 took {elapsed:.1f}s"
     report(14, "FI(optimal POVM)/QFI in [0.999, 1.001] on a lossy probe at dim 455, under 1 s")
+
+
+def test_c15_correlated_lossy_sweep_at_n_total_15_budget(tmp_path, monkeypatch):
+    monkeypatch.delenv("METROLAB_MAX_DIM", raising=False)
+    doc = json.dumps({"scenario": "lossy-sweep", "params": {"n_total": 15, "probe": "correlated"}})
+    config = validate_config(doc)
+    config.output_path = str(tmp_path / "lossy.csv")
+    start = time.perf_counter()
+    assert run_scenario(config, stream=io.StringIO()) == 0
+    elapsed = time.perf_counter() - start
+    assert build_basis(4, 15).dim == 3876
+    rows = (tmp_path / "lossy.csv").read_text(encoding="utf-8").splitlines()[2:]
+    qfis = [float(row.split(",")[1]) for row in rows]
+    assert len(qfis) == 9
+    assert all(b <= a + 1e-12 * a for a, b in zip(qfis, qfis[1:]))
+    assert elapsed < 2.0, f"correlated lossy-sweep at n_total=15 took {elapsed:.1f}s"
+    report(15, "correlated lossy-sweep at n_total=15 (4-mode dim 3876), 9 kappas, under 2 s")

@@ -31,6 +31,7 @@ from metrolab import (
     general_probe,
     jn_variance_closed_form,
     jy_variance_closed_form,
+    loss_channel,
     lossy_probe,
     noon,
     number_covariance,
@@ -56,6 +57,7 @@ PROBE = general_probe(PROBE_COEFFS, 2)
 RHO = lossy_probe(PROBE, 0, 0.4)
 GEN = schwinger_j(RHO.basis, PairAxis(0, 2))
 POVM = optimal_povm(RHO, GEN)
+THREE_MODE = correlated_three_mode([0.6, 0.8], 2)
 COHERENT = coherent_truncated(0.5, 30)
 AXIS = PairAxis(0, 1, beta=1.0, phi=0.3)
 DENSE_J = schwinger_j(BASIS, AXIS)
@@ -128,6 +130,8 @@ CASES = [
     ("number_covariance-modes", "mode", lambda v: number_covariance(NOON, [0, v]), 2),
     ("lossy_probe-probe_mode", "probe_mode", lambda v: lossy_probe(PROBE, v, 0.3), 3),
     ("lossy_probe-kappa", "kappa", lambda v: lossy_probe(PROBE, 0, v), None),
+    ("loss_channel-mode", "mode", lambda v: loss_channel(THREE_MODE, v, 0.3), 3),
+    ("loss_channel-kappa", "kappa", lambda v: loss_channel(THREE_MODE, 0, v), None),
 ]
 
 BAD = [
@@ -156,11 +160,13 @@ def test_rejects_with_a_message_naming_the_argument(call, name, bad):
         lambda: optimal_povm(RHO, GEN, eigenvalue_floor=0),
         lambda: coherent_truncated(0.0, 0),
         lambda: lossy_probe(PROBE, 2, 0.3),
+        lambda: loss_channel(THREE_MODE, 2, 0.3),
         lambda: PairAxis(np.int64(0), np.int64(1)),
         lambda: build_basis(2, 3).unrank(np.int64(9)),
     ],
     ids=["nu=1", "displacement-nu=1", "qfi_mixed-floor=0", "optimal_povm-floor=0",
-         "cutoff=0", "probe_mode=2", "numpy-int-modes", "numpy-int-index"],
+         "cutoff=0", "probe_mode=2", "loss_channel-mode=2", "numpy-int-modes",
+         "numpy-int-index"],
 )
 def test_accepts_boundary_values(call):
     call()
@@ -178,6 +184,11 @@ def test_accepts_boundary_values(call):
 def test_rejects_a_non_integral_count(call):
     with pytest.raises(ValueError, match="integral"):
         call()
+
+
+def test_loss_channel_takes_a_pure_state_only():
+    with pytest.raises(TypeError, match="PureState"):
+        loss_channel(THREE_MODE.to_mixed(), 0, 0.3)
 
 
 def test_an_integer_too_large_for_a_float_is_out_of_range():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -24,7 +25,8 @@ from metrolab.cli import (
     run_scenario,
     validate_config,
 )
-from metrolab.operators import _pair_spectrum
+from metrolab import optimize
+from metrolab.fock import FockBasis
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -228,16 +230,50 @@ class TestScenarios:
         np.testing.assert_array_equal(np.array(rows, dtype=float), expected)
         assert "zeta_opt = " in capsys.readouterr().out
 
-    def test_lossy_sweep_decomposes_its_coupling_once(self, tmp_path):
-        """k kappas cost one eigh per sector of the 4-mode coupling, plus one per rho."""
+    def test_lossy_sweep_runs_one_eigh_per_sector_per_kappa(self, tmp_path):
+        """The 3-mode path: no 4-mode basis, gate or partial trace, one eigh per sector of rho."""
         n_total, kappas = 6, [0.0, 0.4, 1.1, 2.5]
         doc = {"scenario": "lossy-sweep", "params": {"n_total": n_total, "kappas": kappas}}
         config = validate_config(json.dumps(doc))
         config.output_path = str(tmp_path / "lossy.csv")
-        _pair_spectrum.cache_clear()
-        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                mock.patch.object(FockBasis, "rank", autospec=True,
+                                  side_effect=FockBasis.rank) as rank, \
+                mock.patch.object(optimize, "rotation_unitary",
+                                  wraps=optimize.rotation_unitary) as gate, \
+                mock.patch.object(optimize, "partial_trace",
+                                  wraps=optimize.partial_trace) as trace:
             assert run_scenario(config) == 0
-        assert eigh.call_count == n_total + 1 + len(kappas)
+        assert gate.call_count == trace.call_count == 0
+        assert {c.args[0].num_modes for c in rank.call_args_list} == {3}
+        sizes = [c.args[0].shape[0] for c in eigh.call_args_list]
+        sectors = [(s + 1) * (s + 2) // 2 for s in range(n_total + 1)]
+        assert sizes == sectors * len(kappas)
+
+    @pytest.mark.parametrize("params", [
+        {},
+        {"n_total": 10, "probe": "correlated"},
+        {"n_total": 8, "probe": "noon", "probe_mode": 2},
+    ], ids=["default", "correlated-n10", "noon-n8-mode2"])
+    def test_lossy_sweep_matches_the_dense_chain(self, tmp_path, params):
+        """Each row against general_probe -> lossy_probe -> qfi_mixed on four modes, to 1e-12."""
+        config = validate_config(json.dumps({"scenario": "lossy-sweep", "params": params}))
+        config.output_path = str(tmp_path / "lossy.csv")
+        assert run_scenario(config) == 0
+        _, rows = read_rows(tmp_path / "lossy.csv")
+        n_total = config.params["n_total"]
+        coeffs = np.zeros((n_total + 1, n_total + 1), dtype=complex)
+        if config.params["probe"] == "noon":
+            coeffs[n_total, 0] = coeffs[0, n_total] = 1 / math.sqrt(2)
+        else:
+            size = n_total // 2 + 1
+            coeffs[range(size), range(size)] = 1 / math.sqrt(size)
+        probe = general_probe(coeffs, n_total)
+        assert [float(r[0]) for r in rows] == config.params["kappas"]
+        for kappa, row in zip(config.params["kappas"], rows):
+            rho = lossy_probe(probe, config.params["probe_mode"], kappa)
+            qfi = qfi_mixed(rho, schwinger_j(rho.basis, PairAxis(0, 2, beta=0.0))).qfi
+            assert abs(float(row[1]) - qfi) <= 1e-12 * qfi
 
     def test_variance_oracle_diffs_small(self, tmp_path):
         out = tmp_path / "oracle.csv"
@@ -518,6 +554,24 @@ class TestMain:
         out = capsys.readouterr().out
         for name in SCENARIOS:
             assert name in out
+
+    def test_lossy_sweep_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        config_path = write_config(tmp_path, {
+            "scenario": "lossy-sweep", "params": {"n_total": 14, "probe": "correlated"},
+        })
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "metrolab", "run", "--config", str(config_path),
+                 "--output", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_module_entry_point(self, tmp_path):
         config_path = write_config(tmp_path, {"scenario": "noon-scaling", "params": {"n_values": [1, 2]}})

@@ -581,6 +581,44 @@ class TestSectorBlocks:
             np.testing.assert_array_equal(e, np.outer(v, v.conj()))
 
 
+def whole_matrix_qfi(rho, generator, floor=1e-12):
+    """The SLD sum from one eigh of the whole density matrix: qfi_mixed before it ran by sector."""
+    lam, vecs = np.linalg.eigh(rho.density_matrix())
+    lam = np.clip(lam, 0.0, None)
+    h = generator.weights
+    h = vecs.conj().T @ generator.matrix @ vecs if h is None else (vecs.conj().T * h) @ vecs
+    sums = lam[:, None] + lam[None, :]
+    diffs = lam[:, None] - lam[None, :]
+    mask = sums > floor
+    weights = np.zeros_like(sums)
+    weights[mask] = diffs[mask] ** 2 / sums[mask]
+    return 2.0 * float(np.sum(weights * np.abs(h) ** 2))
+
+
+class TestQfiBySector:
+    @given(cfi_cases(), st.booleans())
+    def test_matches_the_whole_matrix_expression(self, case, diagonal):
+        rho, gen, blocky = case
+        if blocky and diagonal:
+            gen = schwinger_j(rho.basis, PairAxis(0, 2, **Z_AXIS))
+        qfi = qfi_mixed(rho, gen).qfi
+        expected = whole_matrix_qfi(rho, gen)
+        if blocky:
+            assert abs(qfi - expected) <= 1e-12 * max(1.0, expected)
+        else:  # a sector-mixing input is one whole block: the same expression, bit for bit
+            assert qfi == expected
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_one_eigh_per_sector(self, diagonal):
+        rho = lossy_probe(noon_probe_with_environment(4), 1, 0.8)
+        axis = PairAxis(0, 2, **Z_AXIS) if diagonal else PairAxis(0, 2, beta=1.0, phi=0.3)
+        gen = schwinger_j(rho.basis, axis)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            qfi_mixed(rho, gen)
+        sizes = [c.args[0].shape[0] for c in eigh.call_args_list]
+        assert sizes == [rho.basis.sector_dim(s) for s in range(rho.basis.n_total + 1)]
+
+
 class TestPovmValidation:
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError):

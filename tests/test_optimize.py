@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metrolab import (
+    MixedState,
     PairAxis,
+    PureState,
     build_basis,
     correlated_three_mode,
     estimated_parameter,
     general_probe,
+    loss_channel,
     lossy_probe,
     noon,
     number_covariance,
@@ -32,8 +35,6 @@ def random_profile(rng, length):
 
 
 def random_pure(rng, basis):
-    from metrolab import PureState
-
     v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     return PureState(basis, v, normalize=True)
 
@@ -272,6 +273,15 @@ def rank_one_sector_qfi(coeffs, n_total, probe_mode, kappa):
     return total
 
 
+def random_triangle(rng, n_total):
+    """Sparse random coefficients c[n1, n2] over n1 + n2 <= N, of unit norm."""
+    n1, n2 = np.meshgrid(np.arange(n_total + 1), np.arange(n_total + 1), indexing="ij")
+    coeffs = rng.standard_normal(n1.shape) + 1j * rng.standard_normal(n1.shape)
+    coeffs[(n1 + n2 > n_total) | (rng.random(n1.shape) < 0.3)] = 0
+    coeffs[0, 0] = 1.0  # the support is never empty
+    return coeffs / np.linalg.norm(coeffs)
+
+
 class TestLossOracles:
     @given(st.integers(1, 8), st.integers(0, 2), st.floats(0, math.pi))
     def test_noon_closed_form(self, n_total, probe_mode, kappa):
@@ -284,12 +294,7 @@ class TestLossOracles:
 
     @given(st.integers(1, 8), st.integers(0, 2), st.floats(0, math.pi), st.integers(0, 2**32 - 1))
     def test_rank_one_sector_oracle(self, n_total, probe_mode, kappa, seed):
-        rng = np.random.default_rng(seed)
-        n1, n2 = np.meshgrid(np.arange(n_total + 1), np.arange(n_total + 1), indexing="ij")
-        coeffs = rng.standard_normal(n1.shape) + 1j * rng.standard_normal(n1.shape)
-        coeffs[(n1 + n2 > n_total) | (rng.random(n1.shape) < 0.3)] = 0
-        coeffs[0, 0] = 1.0  # the support is never empty
-        coeffs /= np.linalg.norm(coeffs)
+        coeffs = random_triangle(np.random.default_rng(seed), n_total)
         expected = rank_one_sector_qfi(coeffs, n_total, probe_mode, kappa)
         qfi = lossy_qfi(general_probe(coeffs, n_total), probe_mode, kappa)
         assert abs(qfi - expected) <= 1e-12 * max(1.0, expected)
@@ -305,6 +310,108 @@ class TestLossOracles:
         probe = make(n_total)
         low, high = (lossy_qfi(probe, probe_mode, k) for k in sorted(kappas))
         assert high <= low + 1e-12 * max(1.0, low)
+
+
+def with_vacuum_environment(state):
+    """A three-mode pure state as the four-mode |psi>|0> that lossy_probe couples."""
+    basis = build_basis(4, state.basis.n_total)
+    occ = state.basis.occupations()
+    amp = np.zeros(basis.dim, dtype=complex)
+    amp[basis.rank(np.column_stack([occ, np.zeros(len(occ), dtype=int)]))] = state.amplitudes
+    return PureState(basis, amp)
+
+
+def noon_three_mode(n_total):
+    """(|N,0,0> + |0,N,0>)/sqrt(2), the NOON probe of lossy-sweep."""
+    basis = build_basis(3, n_total)
+    amp = np.zeros(basis.dim, dtype=complex)
+    amp[basis.rank([[n_total, 0, 0], [0, n_total, 0]])] = 1 / math.sqrt(2)
+    return PureState(basis, amp)
+
+
+def correlated_uniform(n_total):
+    size = n_total // 2 + 1
+    return correlated_three_mode(np.full(size, 1 / math.sqrt(size)), n_total)
+
+
+@st.composite
+def three_mode_states(draw):
+    """A random sparse three-mode pure state, N <= 8, on the top sector or on every sector."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = build_basis(3, draw(st.integers(1, 8)))
+    v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    v[rng.random(basis.dim) < 0.3] = 0
+    if draw(st.booleans()):
+        v[: basis.sector_slice(basis.n_total).start] = 0
+    v[-1] = 1.0  # the support is never empty
+    return PureState(basis, v, normalize=True)
+
+
+def channel_qfi(probe, mode, kappa):
+    rho = loss_channel(probe, mode, kappa)
+    return qfi_mixed(rho, schwinger_j(rho.basis, PairAxis(0, 2))).qfi
+
+
+class TestLossChannel:
+    @settings(max_examples=60, deadline=None)
+    @given(three_mode_states(), st.integers(0, 2), st.floats(0, math.pi))
+    def test_matches_the_dense_coupling(self, state, mode, kappa):
+        rho = loss_channel(state, mode, kappa)
+        dense = lossy_probe(with_vacuum_environment(state), mode, kappa)
+        assert rho.basis == dense.basis
+        assert np.max(np.abs(rho.matrix - dense.matrix)) <= 1e-12
+
+    @given(st.integers(1, 16), st.integers(0, 2), st.floats(0, math.pi))
+    def test_noon_closed_form(self, n_total, mode, kappa):
+        eta_n = math.cos(kappa / 2) ** (2 * n_total)
+        expected = n_total**2 / 4  # mode 2 holds no photon, so it loses none
+        if mode < 2:
+            expected = n_total**2 * eta_n / (2 * (1 + eta_n))
+        qfi = channel_qfi(noon_three_mode(n_total), mode, kappa)
+        assert abs(qfi - expected) <= 1e-12 * max(1.0, expected)
+
+    @given(
+        st.integers(1, 16),
+        st.integers(0, 2),
+        st.booleans(),
+        st.lists(st.floats(0, math.pi), min_size=2, max_size=2),
+    )
+    def test_qfi_does_not_grow_with_kappa(self, n_total, mode, noon_probe, kappas):
+        probe = (noon_three_mode if noon_probe else correlated_uniform)(n_total)
+        low, high = (channel_qfi(probe, mode, k) for k in sorted(kappas))
+        assert high <= low + 1e-12 * max(1.0, low)
+
+    @given(st.integers(1, 8), st.integers(0, 2), st.floats(0, math.pi), st.integers(0, 2**32 - 1))
+    def test_rank_one_sector_oracle(self, n_total, mode, kappa, seed):
+        coeffs = random_triangle(np.random.default_rng(seed), n_total)
+        basis = build_basis(3, n_total)
+        n1, n2 = np.nonzero(coeffs)
+        amp = np.zeros(basis.dim, dtype=complex)
+        amp[basis.rank(np.column_stack([n1, n2, n_total - n1 - n2]))] = coeffs[n1, n2]
+        expected = rank_one_sector_qfi(coeffs, n_total, mode, kappa)
+        qfi = channel_qfi(PureState(basis, amp), mode, kappa)
+        assert abs(qfi - expected) <= 1e-12 * max(1.0, expected)
+
+    def test_output_is_a_valid_state_that_keeps_sector_coherences(self):
+        rng = np.random.default_rng(21)
+        basis = build_basis(3, 5)
+        state = PureState(basis, rng.standard_normal(basis.dim) + 0j, normalize=True)
+        rho = loss_channel(state, 1, 1.3)
+        MixedState(basis, rho.matrix)  # hermiticity, unit trace and PSD, checked
+        assert not rho.matrix.flags.writeable
+        mask = np.zeros((basis.dim, basis.dim), dtype=bool)
+        for block in basis.sectors():
+            mask[block, block] = True
+        # the input mixes sectors, and its coherences between them survive the channel
+        assert np.count_nonzero(rho.matrix[~mask]) > 0
+
+    def test_kappa_zero_is_the_input_and_pi_empties_the_mode(self):
+        state = correlated_uniform(6)
+        np.testing.assert_allclose(loss_channel(state, 0, 0.0).matrix, state.density_matrix(),
+                                   atol=1e-15)
+        rho = loss_channel(state, 0, math.pi)
+        occ = state.basis.occupations()
+        assert np.max(np.abs(rho.matrix[occ[:, 0] > 0])) <= 1e-15
 
 
 class TestSweep:

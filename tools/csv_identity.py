@@ -1,4 +1,4 @@
-"""Check that the CLI writes the same bytes as at another commit.
+"""Check that the CLI writes the same bytes as at another commit, at any BLAS thread count.
 
     python tools/csv_identity.py REF
 
@@ -6,11 +6,13 @@ Run from anywhere inside a checkout.  REF (a commit, branch or tag) is
 exported with ``git archive`` into a temporary directory; the working
 tree at the root of the checkout, uncommitted edits included, is the
 other side.  Each side runs ``metrolab list-scenarios`` and the configs
-in CONFIGS, loading metrolab from its own ``src/``, and the exit status,
-stdout and CSV bytes are compared.  Prints one line per run, with each
-side's wall time, and exits 1 if any run differs or fails on either
-side, 0 if all are identical.  A git failure, such as an unknown REF,
-prints one line and exits 2.
+in CONFIGS, loading metrolab from its own ``src/``, once with BLAS on
+each thread count in THREADS, and the exit status, stdout and CSV bytes
+are compared: each side against the other at the same thread count, and
+the working tree against itself across thread counts.  Prints one line
+per run, with each side's wall time at each thread count, and exits 1 if
+any run differs or fails on either side, 0 if all are identical.  A git
+failure, such as an unknown REF, prints one line and exits 2.
 """
 
 from __future__ import annotations
@@ -33,14 +35,19 @@ SCENARIOS = (
     "zeta-optimize",
 )
 
+# Each count is set through every variable a BLAS build may read.
+THREADS = ("1", "2")
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 # The six scenarios at their defaults, plus the larger or less common
 # paths: the oracle and the NOON sweep at the n_total cap, a 3-mode basis
 # of dim 1771, caller-given zeta coefficients, the correlated lossy probe
 # and the NOON lossy probe at n_total 8 with the loss on mode 2.  The
 # off-axis J_n build is also run on 400 oracle axes and on the lossy
-# coupling of pair (1, 3) at dim 1820.  The largest lossy sweep, the
-# correlated probe at n_total 14 (dim 3060) over 4 kappas, reuses one
-# decomposition of its coupling.  Two runs sit at the argument caps:
+# coupling of pair (1, 3) at dim 1820.  The correlated lossy sweep at
+# n_total 14 runs over 4 kappas and over the default 9; the latter wrote
+# different bytes at 1 and at 2 BLAS threads before the sweep ran on
+# three modes.  Two runs sit at the argument caps:
 # `rotated_fock` at N = 400 and `coherent_cutoff` at alpha = 6.  The
 # cat-vs-noon alphas 1.0, 1.01 and 1.02 all take cutoff 14, so each
 # number operator after the first is one on a basis already seen.
@@ -73,6 +80,10 @@ CONFIGS.update({
         "scenario": "lossy-sweep",
         "params": {"n_total": 14, "probe": "correlated", "kappas": [0.0, 0.5, 1.25, 3.0]},
     },
+    "lossy-sweep-correlated-n14": {
+        "scenario": "lossy-sweep",
+        "params": {"n_total": 14, "probe": "correlated"},
+    },
     "cv-convergence-n400": {
         "scenario": "cv-convergence",
         "params": {"alpha": 4.0, "n_values": [16, 100, 400]},
@@ -101,9 +112,10 @@ def _export(root: str, ref: str, dest: str) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _run(tree: str, work: str, argv: list[str]) -> tuple[int, bytes, bytes, float]:
+def _run(tree: str, work: str, argv: list[str], threads: str) -> tuple[int, bytes, bytes, float]:
     """(exit status, stdout, CSV bytes, wall seconds) of one metrolab command run in `work`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.update({name: threads for name in THREAD_VARIABLES})
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "metrolab", *argv], cwd=work, env=env, capture_output=True
@@ -118,6 +130,11 @@ def _run(tree: str, work: str, argv: list[str]) -> tuple[int, bytes, bytes, floa
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr.decode(errors="replace"))
     return proc.returncode, proc.stdout, csv, wall
+
+
+def _differences(a: tuple, b: tuple) -> list[str]:
+    """What differs between two results of one run: 'stdout', 'csv' or both."""
+    return [what for what, x, y in zip(("stdout", "csv"), a[1:3], b[1:3]) if x != y]
 
 
 def main(args: list[str]) -> int:
@@ -141,14 +158,20 @@ def main(args: list[str]) -> int:
             with open(os.path.join(work, f"{name}.json"), "w", encoding="utf-8") as handle:
                 json.dump(config, handle)
         for name, command in runs.items():
-            ref = _run(ref_tree, work, command)
-            new = _run(root, work, command)
-            parts = [what for what, a, b in zip(("stdout", "csv"), ref[1:], new[1:]) if a != b]
-            if ref[0] or new[0]:
-                parts.append(f"exit {ref[0]} vs {new[0]}")
+            ref = [_run(ref_tree, work, command, t) for t in THREADS]
+            new = [_run(root, work, command, t) for t in THREADS]
+            parts = []
+            for t, r, n in zip(THREADS, ref, new):
+                parts += [f"{what} at threads={t}" for what in _differences(r, n)]
+            parts += [f"worktree {what} across threads" for what in _differences(*new)]
+            exits = [r[0] for r in ref + new]
+            if any(exits):
+                parts.append(f"exit {'/'.join(map(str, exits))}")
             failed += bool(parts)
             verdict = "DIFFERENT (" + ", ".join(parts) + ")" if parts else "identical"
-            print(f"{name}: {verdict} [{args[0]} {ref[3]:.2f}s, worktree {new[3]:.2f}s]")
+            times = ["/".join(f"{r[3]:.2f}" for r in side) for side in (ref, new)]
+            print(f"{name}: {verdict} [{args[0]} {times[0]}s, worktree {times[1]}s; "
+                  f"threads {'/'.join(THREADS)}]")
     return 1 if failed else 0
 
 
