@@ -14,20 +14,17 @@ from .fock import (
     build_basis,
     fidelity,
     partial_trace,
-    tensor_product,
 )
 from .operators import (
     HermitianOp,
     PairAxis,
     UnitaryOp,
     annihilation,
-    creation,
     number_op,
     quadrature_p,
     rotation_unitary,
     schwinger_j,
     spin_squeeze_unitary,
-    total_number_op,
     weighted_number,
 )
 from .states import (
@@ -35,13 +32,10 @@ from .states import (
     coherent_truncated,
     correlated_three_mode,
     cv_cat,
-    cv_ratio,
     drop_reference,
-    fock_cat,
     general_probe,
     noon,
     rotated_fock,
-    rotation_axis_for,
     two_mode_fixed_n,
     with_reference,
 )
@@ -49,13 +43,11 @@ from .metrology import (
     CramerRaoBound,
     Povm,
     QFIReport,
-    displacement_bound,
     expectation,
     fisher_information,
     jn_variance_closed_form,
     jy_variance_closed_form,
     optimal_povm,
-    projective_povm,
     qfi_mixed,
     qfi_pure,
     variance,
@@ -63,7 +55,6 @@ from .metrology import (
 from .optimize import (
     WeightResult,
     ZetaResult,
-    estimated_parameter,
     loss_channel,
     lossy_probe,
     number_covariance,
@@ -81,48 +72,39 @@ __all__ = [
     "build_basis",
     "fidelity",
     "partial_trace",
-    "tensor_product",
     "HermitianOp",
     "PairAxis",
     "UnitaryOp",
     "annihilation",
-    "creation",
     "number_op",
     "quadrature_p",
     "rotation_unitary",
     "schwinger_j",
     "spin_squeeze_unitary",
-    "total_number_op",
     "weighted_number",
     "coherent_cutoff",
     "coherent_truncated",
     "correlated_three_mode",
     "cv_cat",
-    "cv_ratio",
     "drop_reference",
-    "fock_cat",
     "general_probe",
     "noon",
     "rotated_fock",
-    "rotation_axis_for",
     "two_mode_fixed_n",
     "with_reference",
     "CramerRaoBound",
     "Povm",
     "QFIReport",
-    "displacement_bound",
     "expectation",
     "fisher_information",
     "jn_variance_closed_form",
     "jy_variance_closed_form",
     "optimal_povm",
-    "projective_povm",
     "qfi_mixed",
     "qfi_pure",
     "variance",
     "WeightResult",
     "ZetaResult",
-    "estimated_parameter",
     "loss_channel",
     "lossy_probe",
     "number_covariance",

@@ -387,21 +387,3 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
     out = (out + out.conj().T) / 2
     return _exact(MixedState, basis=reduced, matrix=out)
 
-
-def tensor_product(a: PureState, b: PureState, n_total: int | None = None) -> PureState:
-    """Product state of `a` and `b` with `a`'s modes first.
-
-    The default cutoff ``a.n_total + b.n_total`` loses no amplitude; a
-    smaller explicit cutoff truncates and renormalizes.
-    """
-    if n_total is None:
-        n_total = a.basis.n_total + b.basis.n_total
-    combined = build_basis(a.basis.num_modes + b.basis.num_modes, n_total)
-    a_nz = np.flatnonzero(a.amplitudes)
-    b_nz = np.flatnonzero(b.amplitudes)
-    ka, kb = (k.ravel() for k in np.meshgrid(a_nz, b_nz, indexing="ij"))
-    pairs = np.hstack([a.basis.occupations()[ka], b.basis.occupations()[kb]])
-    fit = pairs.sum(axis=1) <= n_total
-    amp = np.zeros(combined.dim, dtype=complex)
-    amp[combined.rank(pairs[fit])] = a.amplitudes[ka[fit]] * b.amplitudes[kb[fit]]
-    return PureState(combined, amp, normalize=True)

@@ -3,8 +3,8 @@
 For a pure probe under exp(i H kappa) the quantum Fisher information is
 4 * Var(H); for mixed probes it is computed exactly from the spectral
 form of the symmetric logarithmic derivative.  Classical Fisher
-information is evaluated for an explicit POVM, with finite-difference or
-analytic probability derivatives.
+information is evaluated for a projective POVM, with finite-difference
+or analytic probability derivatives.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .fock import (
-    PureState, State, _arg, _check_same_basis, _checked_profile, _exact, _hermiticity_residual
+    PureState, State, _arg, _check_same_basis, _checked_profile, _exact
 )
-from .operators import (
-    HermitianOp, _blocks, _exp_i_blocks, _spectrum, _unitarity_residual, quadrature_p
-)
+from .operators import HermitianOp, _blocks, _exp_i_blocks, _spectrum, _unitarity_residual
 
 VARIANCE_FLOOR = -1e-10
 PROB_FLOOR = 1e-12
@@ -58,61 +56,31 @@ def _report(qfi: float, label: str, nu: int | None) -> QFIReport:
 
 
 class Povm:
-    """A list of Hermitian PSD matrices that sum to the identity.
+    """A rank-1 projective POVM onto an orthonormal basis.
 
-    A projective POVM from :func:`projective_povm` keeps its orthonormal
-    basis instead, as the columns of ``vectors`` (None for an element
-    list); its ``elements`` are then the projectors onto those columns,
-    built on first read and cached.  Both are read-only.
+    The basis is kept as the columns of the square, read-only
+    ``vectors``; outcome i is the projector onto column i.  The
+    constructor checks orthonormality once, to 1e-10.
     """
 
-    __slots__ = ("vectors", "_elements")
+    __slots__ = ("vectors",)
 
-    def __init__(self, elements: Sequence[np.ndarray]):
-        elems = [np.asarray(e, dtype=complex) for e in elements]
-        if not elems:
-            raise ValueError("POVM needs at least one element")
-        dim = max([1, *elems[0].shape[-1:]])  # a scalar or empty element fails the shape check
-        total = np.zeros((dim, dim), dtype=complex)
-        for k, e in enumerate(elems):
-            if e.shape != (dim, dim):
-                raise ValueError(f"element {k} has shape {e.shape}, expected ({dim},{dim})")
-            if not _hermiticity_residual(e) <= POVM_ATOL:
-                raise ValueError(f"element {k} is not Hermitian")
-            if float(np.linalg.eigvalsh(e)[0]) < -POVM_ATOL:
-                raise ValueError(f"element {k} is not positive semidefinite")
-            total += e
-        if not np.max(np.abs(total - np.eye(dim))) <= POVM_ATOL:
-            raise ValueError("POVM elements do not sum to the identity within 1e-10")
-        self.vectors = None
-        self._elements = tuple(e.copy() for e in elems)
-        for e in self._elements:
-            e.setflags(write=False)
-
-    @property
-    def elements(self) -> tuple[np.ndarray, ...]:
-        if self._elements is None:
-            elems = tuple(np.outer(c, c.conj()) for c in self.vectors.T)
-            for e in elems:
-                e.setflags(write=False)
-            self._elements = elems
-        return self._elements
+    def __init__(self, vectors: np.ndarray):
+        v = np.array(vectors, dtype=complex)
+        square = v.ndim == 2 and v.shape[0] == v.shape[1] > 0
+        if not (square and _unitarity_residual(v) <= POVM_ATOL):
+            raise ValueError(
+                f"vectors of shape {v.shape} are not an orthonormal basis within 1e-10"
+            )
+        v.setflags(write=False)
+        self.vectors = v
 
     def __len__(self) -> int:
-        return len(self._elements) if self.vectors is None else self.vectors.shape[1]
+        return self.vectors.shape[1]
 
     @property
     def dim(self) -> int:
-        return (self._elements[0] if self.vectors is None else self.vectors).shape[0]
-
-
-def projective_povm(vectors: np.ndarray) -> Povm:
-    """Rank-1 POVM onto the columns of a square `vectors`, checked once to be orthonormal."""
-    v = np.array(vectors, dtype=complex)
-    square = v.ndim == 2 and v.shape[0] == v.shape[1] > 0
-    if not (square and _unitarity_residual(v) <= POVM_ATOL):
-        raise ValueError(f"vectors of shape {v.shape} are not an orthonormal basis within 1e-10")
-    return _exact(Povm, vectors=v, _elements=None)
+        return self.vectors.shape[0]
 
 
 def _applied(op: HermitianOp, vec: np.ndarray) -> np.ndarray:
@@ -265,31 +233,6 @@ def jy_variance_closed_form(coeffs: Sequence[complex], n_total: int) -> float:
     return jn_variance_closed_form(coeffs, n_total, math.pi / 2, math.pi / 2)
 
 
-def displacement_bound(state: State, nu: int = 1, tail_tol: float = 1e-10) -> float:
-    """Displacement-magnitude precision floor 1 / sqrt(4 nu Var(p)).
-
-    Expects a single-mode (or reduced) state.  The p-quadrature matrix is
-    truncated at the cutoff, so the two boundary sectors must carry mass
-    below `tail_tol`; otherwise the variance is untrustworthy and a
-    ValueError is raised.
-    """
-    if state.basis.num_modes != 1:
-        raise ValueError("displacement_bound expects a single-mode state")
-    nu = _arg("nu", nu, 1, kind=int)
-    tail_tol = _arg("tail_tol", tail_tol, 0.0)
-    masses = state.sector_masses()
-    boundary = float(masses[max(0, state.basis.n_total - 1) :].sum())
-    if state.basis.n_total < 2 or boundary > tail_tol:
-        raise ValueError(
-            f"boundary-sector mass {boundary:.3g} exceeds {tail_tol:.3g}; "
-            "increase the cutoff"
-        )
-    var_p = variance(state, quadrature_p(state.basis, 0))
-    if var_p == 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(4.0 * nu * var_p)
-
-
 def _evolved(spectrum, rho: np.ndarray, kappa: float) -> list[np.ndarray]:
     """The diagonal blocks of U rho U†, U = exp(i kappa H), one per block of H's spectrum."""
     return [
@@ -299,16 +242,10 @@ def _evolved(spectrum, rho: np.ndarray, kappa: float) -> list[np.ndarray]:
 
 
 def _outcome_probs(povm: Povm, blocks, rhos: list[np.ndarray]) -> np.ndarray:
-    """tr(E_i rho) for every outcome, for a rho whose nonzero blocks are `rhos` on `blocks`.
+    """<v_i|rho|v_i> for every column v_i, for a rho whose nonzero blocks are `rhos` on `blocks`.
 
-    A basis POVM sums Re conj(V) ⊙ (rho V) over its rows; an element
-    list takes each element's trace against the blocks.
+    Sums Re conj(V) ⊙ (rho V) over the rows of each block.
     """
-    if povm.vectors is None:
-        return np.array([
-            sum(float(np.real(np.einsum("ij,ji->", e[b, b], r))) for b, r in zip(blocks, rhos))
-            for e in povm.elements
-        ])
     v = povm.vectors
     return sum(np.real(np.einsum("ij,ij->j", v[b].conj(), r @ v[b])) for b, r in zip(blocks, rhos))
 
@@ -323,12 +260,12 @@ def fisher_information(
 ) -> float:
     """Classical Fisher information at kappa0 for the family exp(i H kappa).
 
-    Outcome probabilities are P_i = tr(E_i U rho U†).  Derivatives use a
-    central finite difference of step `dkappa` ("central", default), a
-    Richardson-extrapolated difference ("richardson"), or the exact
-    commutator form i[H, rho] ("analytic").  Outcomes with P below 1e-12
-    are skipped; if such an outcome still has a non-vanishing derivative
-    the information diverges and +inf is returned with a warning.
+    Outcome probabilities are P_i = <v_i|U rho U†|v_i> over the POVM's
+    basis.  Derivatives use a central finite difference of step `dkappa`
+    ("central", default) or the exact commutator form i[H, rho]
+    ("analytic").  Outcomes with P below 1e-12 are skipped; if such an
+    outcome still has a non-vanishing derivative the information
+    diverges and +inf is returned with a warning.
 
     When rho and H are block diagonal over the total-number sectors,
     every step runs sector by sector.
@@ -338,7 +275,7 @@ def fisher_information(
         raise ValueError("POVM dimension does not match the state")
     kappa0 = _arg("kappa0", kappa0)
     dkappa = _arg("dkappa", dkappa, math.ulp(0.0))  # the least positive float: dkappa > 0
-    if method not in ("central", "richardson", "analytic"):
+    if method not in ("central", "analytic"):
         raise ValueError(f"unknown derivative method {method!r}")
     rho = state.density_matrix()
     h = generator.matrix
@@ -348,15 +285,10 @@ def fisher_information(
     def probs(kappa: float) -> np.ndarray:
         return _outcome_probs(povm, blocks, _evolved(spectrum, rho, kappa))
 
-    def slope(step: float) -> np.ndarray:
-        return (probs(kappa0 + step) - probs(kappa0 - step)) / (2 * step)
-
     rhos = _evolved(spectrum, rho, kappa0)
     p0 = _outcome_probs(povm, blocks, rhos)
     if method == "central":
-        dp = slope(dkappa)
-    elif method == "richardson":
-        dp = (4 * slope(dkappa / 2) - slope(dkappa)) / 3
+        dp = (probs(kappa0 + dkappa) - probs(kappa0 - dkappa)) / (2 * dkappa)
     else:
         drhos = [1j * (h[b, b] @ r - r @ h[b, b]) for b, r in zip(blocks, rhos)]
         dp = _outcome_probs(povm, blocks, drhos)
@@ -402,4 +334,4 @@ def optimal_povm(
         sld = np.zeros_like(hk)
         sld[mask] = -2j * diffs[mask] * hk[mask] / sums[mask]
         vectors[block, block] = vecs @ np.linalg.eigh(sld)[1]
-    return _exact(Povm, vectors=vectors, _elements=None)
+    return _exact(Povm, vectors=vectors)

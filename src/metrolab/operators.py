@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -207,21 +206,11 @@ def annihilation(basis: FockBasis, mode: int) -> np.ndarray:
     return mat
 
 
-def creation(basis: FockBasis, mode: int) -> np.ndarray:
-    """Adjoint of :func:`annihilation`; truncates at the cutoff sector."""
-    return annihilation(basis, mode).conj().T
-
-
 def number_op(basis: FockBasis, mode: int) -> HermitianOp:
     """Diagonal photon-number operator for one mode."""
     mode = _check_mode(basis, mode)
     diag = basis.occupations()[:, mode].astype(float)
     return HermitianOp(basis, diag, label=f"n[{mode}]")
-
-
-def total_number_op(basis: FockBasis) -> HermitianOp:
-    diag = basis.occupations().sum(axis=1).astype(float)
-    return HermitianOp(basis, diag, label="n_total")
 
 
 def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
@@ -285,19 +274,10 @@ def _exp_i(basis: FockBasis, spectrum, phase_of) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
 def _pair_spectrum(basis: FockBasis, pair: PairAxis) -> tuple[str, tuple]:
-    """(label, read-only spectrum) of J_n on `pair`; the last pair's is kept for the next gate.
-
-    A sweep of angles on one pair, as in `lossy-sweep`, then decomposes
-    J_n once.  The dense J_n itself is not kept.
-    """
+    """(label, spectrum) of J_n on `pair`, one eigh per sector; the dense J_n is not kept."""
     h = schwinger_j(basis, pair)
-    spectrum = _spectrum(h.matrix, basis.sectors())
-    for _, w, v in spectrum:
-        w.setflags(write=False)
-        v.setflags(write=False)
-    return h.label, spectrum
+    return h.label, _spectrum(h.matrix, basis.sectors())
 
 
 def rotation_unitary(basis: FockBasis, pair: PairAxis, angle: float) -> UnitaryOp:
@@ -321,7 +301,7 @@ def quadrature_p(basis: FockBasis, mode: int) -> HermitianOp:
 
     Built on the truncated space without a tail guard; consumers acting
     near the cutoff must check the state's boundary-sector mass
-    themselves (see :func:`metrolab.metrology.displacement_bound`).
+    themselves (:meth:`~metrolab.fock.PureState.sector_masses`).
     """
     a = annihilation(basis, mode)
     mat = 0.5j * (a.conj().T - a)

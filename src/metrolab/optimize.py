@@ -12,7 +12,6 @@ an explicit environment mode instead, and is its dense reference.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,13 +22,6 @@ from .operators import PairAxis, rotation_unitary, weighted_number
 from .metrology import variance
 
 _DEGENERACY_TOL = 1e-14
-_CONSISTENCY_ATOL = 1e-10
-
-_NAMED_AXES = {
-    "x": (math.pi / 2, 0.0),
-    "y": (math.pi / 2, math.pi / 2),
-    "z": (0.0, 0.0),
-}
 
 
 @dataclass(frozen=True)
@@ -134,53 +126,21 @@ def optimal_weights(state: State, modes: Sequence[int]) -> WeightResult:
     )
 
 
-def estimated_parameter(zeta: float, theta13: float, theta23: float) -> float:
-    """Magnitude theta such that theta * n_zeta = theta13 * n0 + theta23 * n1.
-
-    Requires (theta13, theta23) parallel to (cos(zeta), sin(zeta)) within
-    1e-10; at zeta = pi/4 this returns (theta13 + theta23) / sqrt(2).
-    """
-    zeta = _arg("zeta", zeta)
-    theta13, theta23 = _arg("theta13", theta13), _arg("theta23", theta23)
-    c, s = math.cos(zeta), math.sin(zeta)
-    theta = theta13 / c if abs(c) >= abs(s) else theta23 / s
-    if abs(theta13 - theta * c) > _CONSISTENCY_ATOL or abs(theta23 - theta * s) > _CONSISTENCY_ATOL:
-        raise ValueError(
-            f"(theta13={theta13}, theta23={theta23}) is not proportional to "
-            f"(cos(zeta), sin(zeta)) for zeta={zeta}"
-        )
-    return theta
-
-
-def _axis_angles(axis) -> tuple:
-    """(beta, phi) of a named axis, or the pair itself unconverted, for PairAxis to check."""
-    try:
-        beta, phi = _NAMED_AXES[axis] if isinstance(axis, str) else axis
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(
-            f"axis must be 'x', 'y', 'z' or a pair (beta, phi), got {reprlib.repr(axis)}"
-        ) from None
-    return beta, phi
-
-
-def lossy_probe(
-    state: PureState, probe_mode: int, kappa: float, axis="x"
-) -> MixedState:
+def lossy_probe(state: PureState, probe_mode: int, kappa: float) -> MixedState:
     """Couple one probe mode to the environment mode and trace it out.
 
     The input must be a four-mode pure state (modes 0-2 probes, mode 3
-    environment).  The coupling is the rotation exp(i kappa J_axis) on
-    the (probe_mode, 3) pair; `axis` is 'x' (the default), 'y', 'z' or a
-    pair (beta, phi).  kappa = pi transfers the probe mode's photons
-    entirely into the environment.  This is the dense, general path: any
-    axis and an occupied environment.  With the x axis and a vacuum
-    environment it is :func:`loss_channel`, its test reference.
+    environment).  The coupling is the rotation exp(i kappa J_x) on the
+    (probe_mode, 3) pair; kappa = pi transfers the probe mode's photons
+    entirely into the environment.  This is the dense path, through the
+    full four-mode gate.  On a vacuum environment, as
+    :func:`metrolab.states.general_probe` builds, it is
+    :func:`loss_channel`, and serves as its test reference.
     """
     if state.basis.num_modes != 4:
         raise ValueError("lossy_probe expects a four-mode state")
     probe_mode = _arg("probe_mode", probe_mode, 0, 2, kind=int)
-    beta, phi = _axis_angles(axis)
-    pair = PairAxis(probe_mode, 3, beta=beta, phi=phi)
+    pair = PairAxis(probe_mode, 3, beta=math.pi / 2)
     coupled = rotation_unitary(state.basis, pair, _arg("kappa", kappa)).apply(state)
     return partial_trace(coupled, keep=(0, 1, 2))
 

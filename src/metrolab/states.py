@@ -61,25 +61,6 @@ def rotated_fock(n_total: int, theta: float, phi: float = 0.0) -> PureState:
     return two_mode_fixed_n(coeffs, n_total)
 
 
-def rotation_axis_for(phi: float) -> PairAxis:
-    """Axis such that exp(i theta J_axis)|0,N> reproduces rotated_fock(N, theta, phi)."""
-    return PairAxis(0, 1, beta=math.pi / 2, phi=math.pi / 2 - phi)
-
-
-def fock_cat(n_total: int, theta: float, phi: float = 0.0) -> PureState:
-    """Normalized |0,N> + rotated_fock(N, theta, phi).
-
-    The branch overlap is cos^N(theta/2), so the squared norm before
-    normalization is 2 + 2 cos^N(theta/2).
-    """
-    n_total = _arg("n_total", n_total, 1, kind=int)
-    branch = rotated_fock(n_total, theta, phi)
-    basis = branch.basis
-    amp = branch.amplitudes.copy()
-    amp[basis.rank((0, n_total))] += 1.0
-    return PureState(basis, amp, normalize=True)
-
-
 def coherent_cutoff(alpha: complex, tail: float = COHERENT_TAIL_TOL) -> int:
     """Smallest cutoff whose Poisson tail P(n > cutoff) is below `tail`."""
     from scipy.special import pdtrc  # here, so importing metrolab does not load scipy
@@ -137,18 +118,14 @@ def correlated_three_mode(coeffs: Sequence[complex], n_total: int) -> PureState:
 
 
 def general_probe(
-    coeffs,
-    n_total: int,
-    gates: Sequence[tuple[PairAxis, float]] = (),
-    env_occupation: int = 0,
+    coeffs, n_total: int, gates: Sequence[tuple[PairAxis, float]] = ()
 ) -> PureState:
-    """Four-mode probe: gates applied to sum c_{n1,n2} |n1, n2, N-n1-n2, e>.
+    """Four-mode probe: gates applied to sum c_{n1,n2} |n1, n2, N-n1-n2, 0>.
 
     `coeffs` is an (N+1, N+1) array read over the triangle n1+n2 <= N
     (entries outside it must be zero).  Modes 0-2 are probes, mode 3 is
-    the environment, initially holding `env_occupation` photons (default
-    vacuum).  Gates are (PairAxis, angle) pairs applied in list order:
-    the first gate acts first on the ket.
+    the environment, initially in vacuum.  Gates are (PairAxis, angle)
+    pairs applied in list order: the first gate acts first on the ket.
     """
     n_total = _arg("n_total", n_total, 0, kind=int)
     c = np.asarray(coeffs, dtype=complex)
@@ -161,11 +138,10 @@ def general_probe(
     if np.any(outside):
         raise ValueError("coefficients outside the n1 + n2 <= n_total region")
     _checked_profile(c, c.size)
-    env_occupation = _arg("env_occupation", env_occupation, 0, kind=int)
 
-    basis = build_basis(4, n_total + env_occupation)
+    basis = build_basis(4, n_total)
     n1, n2 = np.nonzero(c)
-    occ = np.column_stack([n1, n2, n_total - n1 - n2, np.full_like(n1, env_occupation)])
+    occ = np.column_stack([n1, n2, n_total - n1 - n2, np.zeros_like(n1)])
     amp = np.zeros(basis.dim, dtype=complex)
     amp[basis.rank(occ)] = c[n1, n2]
     state = PureState(basis, amp, normalize=True)
@@ -207,18 +183,3 @@ def drop_reference(state: PureState, support_atol: float = 1e-10) -> PureState:
         raise ValueError("state has support outside the fixed-N sector")
     return PureState(build_basis(1, n_total), block, normalize=True)
 
-
-def cv_ratio(state: PureState) -> float:
-    """Diagnostic mean(n_0) / (N/2) for a fixed-N two-mode state.
-
-    Small values indicate the payload mode is far from the cutoff, i.e.
-    the single-mode continuous-variable description is accurate.  No
-    threshold is enforced; callers decide what counts as small.
-    """
-    profile = drop_reference(state)
-    n_total = state.basis.n_total
-    if n_total == 0:
-        raise ValueError("cv_ratio is undefined for n_total = 0")
-    probs = np.abs(profile.amplitudes) ** 2
-    nbar = float(probs @ np.arange(n_total + 1))
-    return nbar / (n_total / 2.0)

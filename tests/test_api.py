@@ -1,0 +1,64 @@
+"""The public API: what the package exports, and what the benchmark harness reads.
+
+``perfbench/`` wraps the functions named in ``spans.TARGETS`` for a
+traced run and calls the library directly in its ``measure`` workload.
+Its own tests are not part of this suite, so a removed or renamed target
+would otherwise surface only as a failed traced run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+import pytest
+
+import metrolab
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as a module, loaded by path."""
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = load_perfbench("spans")
+
+
+@pytest.mark.parametrize(
+    "name,module_name,path", SPANS.TARGETS, ids=[path for _, _, path in SPANS.TARGETS]
+)
+def test_every_span_target_resolves(name, module_name, path):
+    """Each target resolves as `spans.instrument` resolves it; a method, from its class's dict."""
+    module = importlib.import_module(module_name)
+    owner_name, _, attr = path.rpartition(".")
+    if owner_name:
+        owner = getattr(module, owner_name)
+        assert attr in owner.__dict__, f"{name}: {path} is not defined on {owner_name} itself"
+        target = owner.__dict__[attr]
+    else:
+        target = getattr(module, attr)
+    assert callable(target), f"{name}: {module_name}.{path} is not callable"
+
+
+def test_all_names_exactly_the_public_names():
+    public = {
+        key for key, value in vars(metrolab).items()
+        if not key.startswith("_") and not inspect.ismodule(value)
+    }
+    assert len(metrolab.__all__) == len(set(metrolab.__all__))
+    assert set(metrolab.__all__) == public | {"__version__"}
+
+
+def test_the_measure_chain_runs_and_passes_its_gate():
+    workloads = load_perfbench("workloads")
+    block = workloads.make_blocks("measure", 0, 1)[0]
+    op = workloads.prepare(min(block, key=lambda op: op["n_total"]), "")
+    result = workloads.execute(op, metrolab, None)
+    assert workloads.check(op, result, "", "") == (1, None)

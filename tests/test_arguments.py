@@ -23,11 +23,8 @@ from metrolab import (
     coherent_cutoff,
     coherent_truncated,
     correlated_three_mode,
-    displacement_bound,
     drop_reference,
-    estimated_parameter,
     fisher_information,
-    fock_cat,
     general_probe,
     jn_variance_closed_form,
     jy_variance_closed_form,
@@ -58,7 +55,6 @@ RHO = lossy_probe(PROBE, 0, 0.4)
 GEN = schwinger_j(RHO.basis, PairAxis(0, 2))
 POVM = optimal_povm(RHO, GEN)
 THREE_MODE = correlated_three_mode([0.6, 0.8], 2)
-COHERENT = coherent_truncated(0.5, 30)
 AXIS = PairAxis(0, 1, beta=1.0, phi=0.3)
 DENSE_J = schwinger_j(BASIS, AXIS)
 
@@ -86,7 +82,6 @@ CASES = [
     ("rotated_fock-n_total", "n_total", lambda v: rotated_fock(v, 0.3), -1),
     ("rotated_fock-theta", "theta", lambda v: rotated_fock(3, v), None),
     ("rotated_fock-phi", "phi", lambda v: rotated_fock(3, 0.3, v), None),
-    ("fock_cat-n_total", "n_total", lambda v: fock_cat(v, 0.3), 0),
     ("coherent_cutoff-alpha", "alpha", coherent_cutoff, None),
     ("coherent_truncated-alpha", "alpha", lambda v: coherent_truncated(v, 30), None),
     ("coherent_truncated-cutoff", "cutoff", lambda v: coherent_truncated(0.5, v), -1),
@@ -94,16 +89,11 @@ CASES = [
     ("correlated_three_mode-n_total", "n_total",
      lambda v: correlated_three_mode([1, 0], v), -1),
     ("general_probe-n_total", "n_total", lambda v: general_probe(PROBE_COEFFS, v), -1),
-    ("general_probe-env_occupation", "env_occupation",
-     lambda v: general_probe(PROBE_COEFFS, 2, env_occupation=v), -1),
     ("drop_reference-support_atol", "support_atol", lambda v: drop_reference(NOON, v), -1e-3),
     ("qfi_pure-nu", "nu", lambda v: qfi_pure(NOON, NOON_JZ, nu=v), 0),
     ("qfi_mixed-nu", "nu", lambda v: qfi_mixed(RHO, GEN, nu=v), 0),
     ("qfi_mixed-eigenvalue_floor", "eigenvalue_floor",
      lambda v: qfi_mixed(RHO, GEN, eigenvalue_floor=v), -1e-12),
-    ("displacement_bound-nu", "nu", lambda v: displacement_bound(COHERENT, nu=v), 0),
-    ("displacement_bound-tail_tol", "tail_tol",
-     lambda v: displacement_bound(COHERENT, tail_tol=v), -1.0),
     ("fisher_information-kappa0", "kappa0",
      lambda v: fisher_information(RHO, GEN, POVM, kappa0=v), None),
     ("fisher_information-dkappa", "dkappa",
@@ -122,11 +112,6 @@ CASES = [
      lambda v: jn_variance_closed_form([v, 0.8], 1, 0.5, 0.0), 0.7),
     ("jy_variance_closed_form-coeffs", "coefficient",
      lambda v: jy_variance_closed_form([v, v], 1), 2.0),
-    ("estimated_parameter-zeta", "zeta", lambda v: estimated_parameter(v, 0.1, 0.1), None),
-    ("estimated_parameter-theta13", "theta13",
-     lambda v: estimated_parameter(math.pi / 4, v, 0.1), None),
-    ("estimated_parameter-theta23", "theta23",
-     lambda v: estimated_parameter(math.pi / 4, 0.1, v), None),
     ("number_covariance-modes", "mode", lambda v: number_covariance(NOON, [0, v]), 2),
     ("lossy_probe-probe_mode", "probe_mode", lambda v: lossy_probe(PROBE, v, 0.3), 3),
     ("lossy_probe-kappa", "kappa", lambda v: lossy_probe(PROBE, 0, v), None),
@@ -155,7 +140,6 @@ def test_rejects_with_a_message_naming_the_argument(call, name, bad):
     "call",
     [
         lambda: qfi_pure(NOON, NOON_JZ, nu=1),
-        lambda: displacement_bound(COHERENT, nu=1),
         lambda: qfi_mixed(RHO, GEN, eigenvalue_floor=0),
         lambda: optimal_povm(RHO, GEN, eigenvalue_floor=0),
         lambda: coherent_truncated(0.0, 0),
@@ -164,7 +148,7 @@ def test_rejects_with_a_message_naming_the_argument(call, name, bad):
         lambda: PairAxis(np.int64(0), np.int64(1)),
         lambda: build_basis(2, 3).unrank(np.int64(9)),
     ],
-    ids=["nu=1", "displacement-nu=1", "qfi_mixed-floor=0", "optimal_povm-floor=0",
+    ids=["nu=1", "qfi_mixed-floor=0", "optimal_povm-floor=0",
          "cutoff=0", "probe_mode=2", "loss_channel-mode=2", "numpy-int-modes",
          "numpy-int-index"],
 )
@@ -176,10 +160,9 @@ def test_accepts_boundary_values(call):
     "call",
     [
         lambda: qfi_pure(NOON, NOON_JZ, nu=2.5),
-        lambda: displacement_bound(COHERENT, nu=2.7),
         lambda: FockBasis(2, 3.5),
     ],
-    ids=["qfi_pure", "displacement_bound", "FockBasis"],
+    ids=["qfi_pure", "FockBasis"],
 )
 def test_rejects_a_non_integral_count(call):
     with pytest.raises(ValueError, match="integral"):

@@ -2,13 +2,12 @@
 
 Gates, off-axis pair operators, the momentum quadrature, reduced states
 and optimal POVMs are exact by construction, so they are built without
-the checks that ``HermitianOp``, ``UnitaryOp``, ``MixedState``,
-``Povm`` and ``projective_povm`` run on caller input.  These tests run those checks on the
+the checks that ``HermitianOp``, ``UnitaryOp``, ``MixedState`` and
+``Povm`` run on caller input.  These tests run those checks on the
 products instead.
 """
 
 import math
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -28,7 +27,6 @@ from metrolab import (
     lossy_probe,
     optimal_povm,
     partial_trace,
-    projective_povm,
     quadrature_p,
     rotation_unitary,
     schwinger_j,
@@ -97,32 +95,9 @@ def test_optimal_povm_passes_the_povm_constructor(n_total, seed, purity, kappa0)
     rho = purity * pure.density_matrix() + (1.0 - purity) * np.eye(basis.dim) / basis.dim
     axis = PairAxis(0, 1, beta=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi))
     povm = optimal_povm(MixedState(basis, rho), schwinger_j(basis, axis), kappa0=kappa0)
-    projective_povm(povm.vectors)
-    Povm(list(povm.elements))
+    Povm(povm.vectors)
     assert len(povm) == basis.dim
     assert not povm.vectors.flags.writeable
-    assert not any(e.flags.writeable for e in povm.elements)
-
-
-@pytest.mark.parametrize(
-    "vectors",
-    [
-        np.eye(3)[:, :2],
-        np.eye(3)[0],
-        np.zeros((0, 0)),
-        2.0 * np.eye(2),
-        np.array([[1.0, 1.0], [0.0, 1.0]]),
-        np.full((2, 2), np.nan),
-        np.diag([np.inf, 1.0]),
-        np.diag([-np.inf, 1.0]),
-    ],
-    ids=["non-square", "one-dimensional", "empty", "scaled", "skewed", "nan", "inf", "-inf"],
-)
-def test_projective_povm_rejects_bad_vectors(vectors):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError):
-            projective_povm(vectors)
 
 
 def test_optimal_povm_runs_no_eigvalsh():

@@ -18,7 +18,6 @@ from metrolab import (
     noon,
     partial_trace,
     rotated_fock,
-    tensor_product,
     with_reference,
 )
 
@@ -437,7 +436,12 @@ class TestPartialTrace:
         rng = np.random.default_rng(5)
         a = random_pure(rng, build_basis(2, 2))
         b = random_pure(rng, build_basis(1, 3))
-        product = tensor_product(a, b)
+        basis = build_basis(3, 5)  # a's cutoff plus b's: the product loses no amplitude
+        amp = np.zeros(basis.dim, dtype=complex)
+        for ka, occ_a in enumerate(a.basis.occupations()):
+            for kb, occ_b in enumerate(b.basis.occupations()):
+                amp[basis.rank((*occ_a, *occ_b))] = a.amplitudes[ka] * b.amplitudes[kb]
+        product = PureState(basis, amp, normalize=True)
         reduced = partial_trace(product, keep={0, 1})
         expected = a.expand_cutoff(product.basis.n_total).to_mixed()
         np.testing.assert_allclose(reduced.matrix, expected.matrix, atol=1e-12)
@@ -453,69 +457,3 @@ class TestPartialTrace:
         assert abs(np.trace(again.matrix) - 1.0) < 1e-12
         assert float(np.linalg.eigvalsh(again.matrix)[0]) > -1e-10
 
-
-def loop_tensor_product(a, b, n_total):
-    """Reference product amplitudes, unnormalized: one unrank and one rank per pair of nonzeros."""
-    combined = build_basis(a.basis.num_modes + b.basis.num_modes, n_total)
-    amp = np.zeros(combined.dim, dtype=complex)
-    for ka in np.flatnonzero(a.amplitudes):
-        occ_a = a.basis.unrank(int(ka))
-        for kb in np.flatnonzero(b.amplitudes):
-            occ_b = b.basis.unrank(int(kb))
-            if sum(occ_a) + sum(occ_b) <= n_total:
-                amp[combined.rank(occ_a + occ_b)] = a.amplitudes[ka] * b.amplitudes[kb]
-    return PureState(combined, amp, normalize=True).amplitudes
-
-
-def sparse_state(rng, basis, real):
-    """A random state with about a third of its amplitudes zero; the vacuum is kept."""
-    v = rng.standard_normal(basis.dim) + (0 if real else 1j * rng.standard_normal(basis.dim))
-    v[rng.random(basis.dim) < 0.3] = 0
-    v[0] = 1.0
-    return PureState(basis, v, normalize=True)
-
-
-class TestTensorProduct:
-    def test_default_cutoff_loses_nothing(self):
-        rng = np.random.default_rng(6)
-        a = random_pure(rng, build_basis(1, 2))
-        b = random_pure(rng, build_basis(1, 3))
-        product = tensor_product(a, b)
-        assert product.basis.n_total == 5
-        assert np.isclose(
-            product.amplitude((2, 3)), a.amplitudes[2] * b.amplitudes[3], atol=1e-12
-        )
-
-    @given(
-        st.integers(1, 2), st.integers(0, 4), st.integers(1, 2), st.integers(0, 4),
-        st.floats(0, 1), st.booleans(), st.integers(0, 2**32 - 1),
-    )
-    def test_matches_loop_reference(self, modes_a, cut_a, modes_b, cut_b, keep, real_a, seed):
-        """The same amplitudes at the same indices as the pair-by-pair loop.
-
-        numpy's vectorized complex multiply may round a product of two
-        complex numbers differently from the scalar one: each part can
-        move by about an ulp of |a||b|, and the normalization adds about
-        two more.  So the values agree to 8 ulp of their modulus in
-        general (2.3 at most over 3000 random pairs), and bit for bit
-        when one factor is real, where each product part is one rounding.
-        """
-        rng = np.random.default_rng(seed)
-        a = sparse_state(rng, build_basis(modes_a, cut_a), real_a)
-        b = sparse_state(rng, build_basis(modes_b, cut_b), False)
-        n_total = round(keep * (cut_a + cut_b))
-        product = tensor_product(a, b, n_total=n_total).amplitudes
-        expected = loop_tensor_product(a, b, n_total)
-        assert np.array_equal(np.flatnonzero(product), np.flatnonzero(expected))
-        if real_a:
-            assert np.array_equal(product, expected)
-        else:
-            np.testing.assert_allclose(product, expected, rtol=8 * np.finfo(float).eps, atol=0)
-
-    def test_explicit_cutoff_truncates_and_renormalizes(self):
-        basis = build_basis(1, 1)
-        plus = PureState(basis, np.array([1, 1]) / math.sqrt(2))
-        product = tensor_product(plus, plus, n_total=1)
-        # the |1,1> branch is cut; three equal-weight branches remain
-        assert np.isclose(np.linalg.norm(product.amplitudes), 1.0)
-        assert np.isclose(abs(product.amplitude((0, 0))) ** 2, 1 / 3, atol=1e-12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,6 @@ from metrolab import (
     build_basis,
     coherent_cutoff,
     coherent_truncated,
-    displacement_bound,
     drop_reference,
     expectation,
     fidelity,
@@ -26,7 +26,6 @@ from metrolab import (
     noon,
     number_op,
     optimal_povm,
-    projective_povm,
     qfi_mixed,
     qfi_pure,
     quadrature_p,
@@ -53,7 +52,7 @@ def random_axis(rng, i=0, j=1):
 def random_projective_povm(rng, dim):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(raw)
-    return projective_povm(q)
+    return Povm(q)
 
 
 def noon_probe_with_environment(n_total):
@@ -70,7 +69,7 @@ def dense_evolved(rho, generator, kappa):
 
 
 def element_traces(povm, rho):
-    return np.array([np.real(np.trace(e @ rho)) for e in povm.elements])
+    return np.array([np.real(np.trace(np.outer(v, v.conj()) @ rho)) for v in povm.vectors.T])
 
 
 def dense_analytic_fisher(rho, generator, povm, kappa0):
@@ -298,44 +297,19 @@ class TestJyVariance:
         assert gaps[2] < 0.05 * var_p
 
 
-class TestDisplacementBound:
-    def test_vacuum(self):
-        basis = build_basis(1, 6)
-        assert np.isclose(displacement_bound(basis.basis_state((0,)), nu=1), 1.0, atol=1e-12)
-
-    def test_coherent_keeps_vacuum_noise(self):
-        state = coherent_truncated(2.0, 40)
-        assert abs(displacement_bound(state, nu=1) - 1.0) < 1e-8
-
-    def test_repetition_scaling(self):
-        state = coherent_truncated(1.0, 30)
-        one = displacement_bound(state, nu=1)
-        hundred = displacement_bound(state, nu=100)
-        assert np.isclose(hundred, one / 10.0, atol=1e-12)
-
-    def test_boundary_guard(self):
-        basis = build_basis(1, 10)
-        with pytest.raises(ValueError):
-            displacement_bound(basis.basis_state((10,)), nu=1)
-
-    def test_needs_single_mode(self):
-        with pytest.raises(ValueError):
-            displacement_bound(noon(2), nu=1)
-
-
 class TestFisherInformation:
-    def test_single_outcome_gives_zero(self):
+    def test_phase_blind_povm_gives_zero(self):
         state = noon(2)
         gen = schwinger_j(state.basis, PairAxis(0, 1, **Z_AXIS))
-        trivial = Povm([np.eye(state.basis.dim)])
-        assert fisher_information(state, gen, trivial, kappa0=0.3) == 0.0
+        counting = Povm(np.eye(state.basis.dim))  # photon counting cannot see a Jz phase
+        assert fisher_information(state, gen, counting, kappa0=0.3) == 0.0
 
     def test_noon2_jx_basis_measurement_reaches_qfi(self):
         state = noon(2)
         gen = schwinger_j(state.basis, PairAxis(0, 1, **Z_AXIS))
         jx = schwinger_j(state.basis, PairAxis(0, 1, beta=math.pi / 2, phi=0.0))
         _, vecs = np.linalg.eigh(jx.matrix)
-        povm = projective_povm(vecs)
+        povm = Povm(vecs)
         fi = fisher_information(state, gen, povm, kappa0=math.pi / 8)
         assert abs(fi - 4.0) < 1e-4
 
@@ -387,15 +361,14 @@ class TestFisherInformation:
         gen = schwinger_j(state.basis, PairAxis(0, 1, **Z_AXIS))
         jx = schwinger_j(state.basis, PairAxis(0, 1, beta=math.pi / 2, phi=0.0))
         _, vecs = np.linalg.eigh(jx.matrix)
-        povm = projective_povm(vecs)
+        povm = Povm(vecs)
         values = [
             fisher_information(state, gen, povm, kappa0=0.2, method=method)
-            for method in ("central", "richardson", "analytic")
+            for method in ("central", "analytic")
         ]
-        assert abs(values[0] - values[2]) < 1e-6
-        assert abs(values[1] - values[2]) < 1e-9
+        assert abs(values[0] - values[1]) < 1e-6
 
-    @pytest.mark.parametrize("method", ["central", "richardson", "analytic"])
+    @pytest.mark.parametrize("method", ["central", "analytic"])
     def test_decomposes_the_generator_once(self, method):
         rng = np.random.default_rng(11)
         state = two_mode_fixed_n(random_profile(rng, 5), 4).expand_cutoff(5)
@@ -410,14 +383,15 @@ class TestFisherInformation:
     def test_rejects_bad_arguments(self):
         state = noon(2)
         gen = schwinger_j(state.basis, PairAxis(0, 1, **Z_AXIS))
-        povm = Povm([np.eye(state.basis.dim)])
+        povm = Povm(np.eye(state.basis.dim))
         with pytest.raises(ValueError):
             fisher_information(state, gen, povm, kappa0=0.0, dkappa=0.0)
         with pytest.raises(ValueError, match="POVM dimension"):
-            fisher_information(state, gen, Povm([np.eye(state.basis.dim + 1)]), kappa0=0.0)
+            fisher_information(state, gen, Povm(np.eye(state.basis.dim + 1)), kappa0=0.0)
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            with pytest.raises(ValueError):
-                fisher_information(state, gen, povm, kappa0=0.0, method="nope")
+            for method in ("nope", "richardson"):
+                with pytest.raises(ValueError, match="unknown derivative method"):
+                    fisher_information(state, gen, povm, kappa0=0.0, method=method)
         assert eigh.call_count == 0  # the method is checked before any decomposition
 
     def test_divergent_outcome_warns_and_returns_inf(self):
@@ -431,7 +405,7 @@ class TestFisherInformation:
 
         state = PureState(basis, amp, normalize=True)
         gen = quadrature_p(basis, 0)
-        povm = projective_povm(np.eye(basis.dim))
+        povm = Povm(np.eye(basis.dim))
         with pytest.warns(RuntimeWarning):
             fi = fisher_information(state, gen, povm, kappa0=0.0)
         assert math.isinf(fi)
@@ -565,20 +539,7 @@ class TestSectorBlocks:
         assert sizes == sorted(3 * blocks)
         if blocky:
             assert block_of(povm.vectors, basis)
-        projective_povm(povm.vectors)  # orthonormal within 1e-10
-
-    @given(cfi_cases(), st.floats(0.0, 1.0))
-    def test_elements_are_a_cached_read_only_view(self, case, kappa0):
-        rho, gen, _ = case
-        povm = optimal_povm(rho, gen, kappa0=kappa0)
-        assert not povm.vectors.flags.writeable
-        assert len(povm) == povm.dim == rho.basis.dim
-        elements = povm.elements
-        assert povm.elements is elements
-        assert len(elements) == len(povm)
-        for e, v in zip(elements, povm.vectors.T):
-            assert not e.flags.writeable
-            np.testing.assert_array_equal(e, np.outer(v, v.conj()))
+        Povm(povm.vectors)  # orthonormal within 1e-10
 
 
 def whole_matrix_qfi(rho, generator, floor=1e-12):
@@ -620,49 +581,35 @@ class TestQfiBySector:
 
 
 class TestPovmValidation:
-    def test_rejects_incomplete(self):
-        with pytest.raises(ValueError):
-            Povm([np.eye(3) * 0.5])
-        with pytest.raises(ValueError, match="at least one element"):
-            Povm([])
-
-    def test_rejects_non_psd(self):
-        e1 = np.diag([1.5, 1.0, 1.0])
-        e2 = np.diag([-0.5, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            Povm([e1, e2])
-
-    def test_rejects_non_hermitian(self):
-        e = np.zeros((2, 2), dtype=complex)
-        e[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            Povm([e, np.eye(2) - e])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError):
-            Povm([np.full((2, 2), bad)])
-        with pytest.raises(ValueError):
-            Povm([np.diag([bad, 0.0]), np.diag([0.0, 1.0])])
-
     @pytest.mark.parametrize(
-        "elements",
-        [[np.float64(1.0)], [np.ones(2)], [np.ones((2, 2, 2))], [np.zeros((0, 0))],
-         [np.eye(2), np.float64(0.0)]],
-        ids=["scalar", "vector", "3-d", "empty", "scalar-second"],
+        "vectors",
+        [
+            np.eye(3)[:, :2],
+            np.eye(3)[0],
+            np.zeros((0, 0)),
+            2.0 * np.eye(2),
+            np.array([[1.0, 1.0], [0.0, 1.0]]),
+            np.full((2, 2), np.nan),
+            np.diag([np.inf, 1.0]),
+            np.diag([-np.inf, 1.0]),
+        ],
+        ids=["non-square", "one-dimensional", "empty", "scaled", "skewed", "nan", "inf", "-inf"],
     )
-    def test_rejects_non_square_elements(self, elements):
-        with pytest.raises(ValueError, match="has shape"):
-            Povm(elements)
+    def test_rejects_bad_vectors(self, vectors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="not an orthonormal basis"):
+                Povm(vectors)
 
     def test_accepts_projective(self):
-        povm = projective_povm(np.eye(4))
+        povm = Povm(np.eye(4))
         assert len(povm) == 4
 
-    def test_projective_povm_copies_its_input(self):
+    def test_copies_its_input(self):
         vectors = np.eye(3, dtype=complex)
-        povm = projective_povm(vectors)
+        povm = Povm(vectors)
         assert vectors.flags.writeable and povm.vectors is not vectors
+        assert not povm.vectors.flags.writeable
 
 
 class TestPrecisionChain:
@@ -689,5 +636,5 @@ class TestPrecisionChain:
         delta_half_theta = 1.0 / math.sqrt(4 * nu * var_jy)
         delta_alpha_from_jy = math.sqrt(n_total) * delta_half_theta
 
-        delta_alpha = displacement_bound(profile, nu=nu)
+        delta_alpha = 1.0 / math.sqrt(4 * nu * variance(profile, quadrature_p(profile.basis, 0)))
         assert abs(delta_alpha_from_jy - delta_alpha) < 0.05 * delta_alpha

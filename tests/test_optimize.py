@@ -11,7 +11,6 @@ from metrolab import (
     PureState,
     build_basis,
     correlated_three_mode,
-    estimated_parameter,
     general_probe,
     loss_channel,
     lossy_probe,
@@ -144,23 +143,6 @@ class TestOptimalWeights:
         assert 4 * result.var_max >= np.max(sweep[:, 1]) - 1e-8
 
 
-class TestEstimatedParameter:
-    def test_balanced_case(self):
-        phi = 0.31
-        value = estimated_parameter(math.pi / 4, phi, phi)
-        assert np.isclose(value, (phi + phi) / math.sqrt(2), atol=1e-12)
-
-    def test_zeta_zero(self):
-        assert np.isclose(estimated_parameter(0.0, 0.8, 0.0), 0.8)
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(ValueError):
-            estimated_parameter(0.0, 0.8, 0.3)
-
-    def test_zeta_pi_over_two(self):
-        assert np.isclose(estimated_parameter(math.pi / 2, 0.0, 0.6), 0.6)
-
-
 class TestLossyProbe:
     def test_zero_coupling_keeps_purity(self):
         probe = noon_probe_with_environment(3)
@@ -214,20 +196,6 @@ class TestLossyProbe:
             assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
             assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
             assert float(np.linalg.eigvalsh(rho.matrix)[0]) > -1e-10
-
-    def test_axis_parameter(self):
-        probe = noon_probe_with_environment(2)
-        for axis in ("x", "y", "z", (0.4, 1.1)):
-            rho = lossy_probe(probe, 0, 0.6, axis=axis)
-            assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
-        # z-axis coupling commutes with the initial occupation: no decoherence
-        rho_z = lossy_probe(probe, 0, 0.9, axis="z")
-        assert abs(rho_z.purity() - 1.0) < 1e-10
-        with pytest.raises(ValueError):
-            lossy_probe(probe, 0, 0.5, axis="q")
-        for axis in (("1", "0"), (1.0,), None, (0.1, 0.2, 0.3), (math.nan, 0.0), 1.0):
-            with pytest.raises(ValueError, match="axis"):
-                lossy_probe(probe, 0, 0.5, axis=axis)
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
