@@ -19,10 +19,12 @@ import metrolab
 from metrolab import (
     FockBasis,
     PairAxis,
+    annihilation,
     build_basis,
     coherent_cutoff,
     coherent_truncated,
     correlated_three_mode,
+    cv_cat,
     drop_reference,
     fisher_information,
     general_probe,
@@ -34,15 +36,19 @@ from metrolab import (
     number_covariance,
     number_op,
     optimal_povm,
+    optimal_weights,
     partial_trace,
     qfi_mixed,
     qfi_pure,
+    quadrature_p,
     rotated_fock,
     rotation_unitary,
     schwinger_j,
     spin_squeeze_unitary,
+    sweep_qfi_vs_zeta,
     two_mode_fixed_n,
     weighted_number,
+    with_reference,
 )
 
 BASIS = build_basis(2, 3)
@@ -55,6 +61,7 @@ RHO = lossy_probe(PROBE, 0, 0.4)
 GEN = schwinger_j(RHO.basis, PairAxis(0, 2))
 POVM = optimal_povm(RHO, GEN)
 THREE_MODE = correlated_three_mode([0.6, 0.8], 2)
+COHERENT = coherent_truncated(0.5, 30)
 AXIS = PairAxis(0, 1, beta=1.0, phi=0.3)
 DENSE_J = schwinger_j(BASIS, AXIS)
 
@@ -66,6 +73,7 @@ CASES = [
     ("sector_slice-s", "sector", lambda v: BASIS.sector_slice(v), 4),
     ("sector_dim-s", "sector", lambda v: BASIS.sector_dim(v), 4),
     ("unrank-index", "index", lambda v: BASIS.unrank(v), BASIS.dim),
+    ("basis_state-occupation", "occupation", lambda v: BASIS.basis_state((0, v)), None),
     ("expand_cutoff-n_total", "n_total", lambda v: NOON.expand_cutoff(v), 1),
     ("partial_trace-keep", "keep mode", lambda v: partial_trace(NOON, [v]), 2),
     ("PairAxis-i", "mode i", lambda v: PairAxis(v, 1), -1),
@@ -73,6 +81,8 @@ CASES = [
     ("PairAxis-beta", "beta", lambda v: PairAxis(0, 1, beta=v), None),
     ("PairAxis-phi", "phi", lambda v: PairAxis(0, 1, phi=v), None),
     ("number_op-mode", "mode", lambda v: number_op(BASIS, v), 2),
+    ("annihilation-mode", "mode", lambda v: annihilation(BASIS, v), 2),
+    ("quadrature_p-mode", "mode", lambda v: quadrature_p(COHERENT.basis, v), 1),
     ("HermitianOp-scalar-diagonal", "scalar", lambda v: NOON_JZ * v, None),
     ("HermitianOp-scalar-dense", "scalar", lambda v: v * DENSE_J, None),
     ("rotation_unitary-angle", "angle", lambda v: rotation_unitary(BASIS, AXIS, v), None),
@@ -85,6 +95,9 @@ CASES = [
     ("coherent_cutoff-alpha", "alpha", coherent_cutoff, None),
     ("coherent_truncated-alpha", "alpha", lambda v: coherent_truncated(v, 30), None),
     ("coherent_truncated-cutoff", "cutoff", lambda v: coherent_truncated(0.5, v), -1),
+    ("cv_cat-alpha", "alpha", lambda v: cv_cat(v, 30), None),
+    ("cv_cat-cutoff", "cutoff", lambda v: cv_cat(0.5, v), -1),
+    ("with_reference-n_total", "n_total", lambda v: with_reference(COHERENT, v), -1),
     ("two_mode_fixed_n-n_total", "n_total", lambda v: two_mode_fixed_n([1, 0, 0], v), -1),
     ("correlated_three_mode-n_total", "n_total",
      lambda v: correlated_three_mode([1, 0], v), -1),
@@ -113,6 +126,8 @@ CASES = [
     ("jy_variance_closed_form-coeffs", "coefficient",
      lambda v: jy_variance_closed_form([v, v], 1), 2.0),
     ("number_covariance-modes", "mode", lambda v: number_covariance(NOON, [0, v]), 2),
+    ("optimal_weights-modes", "mode", lambda v: optimal_weights(NOON, [0, v]), 2),
+    ("sweep_qfi_vs_zeta-zetas", "zeta", lambda v: sweep_qfi_vs_zeta(NOON, [0.0, v]), None),
     ("lossy_probe-probe_mode", "probe_mode", lambda v: lossy_probe(PROBE, v, 0.3), 3),
     ("lossy_probe-kappa", "kappa", lambda v: lossy_probe(PROBE, 0, v), None),
     ("loss_channel-mode", "mode", lambda v: loss_channel(THREE_MODE, v, 0.3), 3),
@@ -147,10 +162,16 @@ def test_rejects_with_a_message_naming_the_argument(call, name, bad):
         lambda: loss_channel(THREE_MODE, 2, 0.3),
         lambda: PairAxis(np.int64(0), np.int64(1)),
         lambda: build_basis(2, 3).unrank(np.int64(9)),
+        lambda: annihilation(BASIS, 1),
+        lambda: quadrature_p(COHERENT.basis, 0),
+        lambda: cv_cat(0.0, 0),
+        # a cutoff below the state's truncates the profile, as documented
+        lambda: with_reference(COHERENT, 0),
     ],
     ids=["nu=1", "qfi_mixed-floor=0", "optimal_povm-floor=0",
          "cutoff=0", "probe_mode=2", "loss_channel-mode=2", "numpy-int-modes",
-         "numpy-int-index"],
+         "numpy-int-index", "annihilation-mode=1", "quadrature_p-mode=0",
+         "cv_cat-cutoff=0", "with_reference-n_total=0"],
 )
 def test_accepts_boundary_values(call):
     call()

@@ -452,6 +452,12 @@ class TestQuadrature:
         vacuum = basis.basis_state((0,))
         assert np.isclose(variance(vacuum, quadrature_p(basis, 0)), 0.25, atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 1 - 1.5j])
+    def test_coherent_keeps_vacuum_noise(self, alpha):
+        # a displacement moves <p> but not Var(p): 1/sqrt(4 Var(p)) stays 1
+        state = coherent_truncated(alpha, 40)
+        assert abs(variance(state, quadrature_p(state.basis, 0)) - 0.25) < 1e-8
+
     def test_coherent_expectation(self):
         alpha = 1 + 2j
         state = coherent_truncated(alpha, 60)

@@ -161,6 +161,22 @@ class TestLossyProbe:
         )
         assert abs(overlap - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("probe_mode", [0, 1, 2])
+    def test_x_coupling_loses_photons_binomially(self, probe_mode):
+        # exp(i kappa J_x) against a vacuum environment keeps each photon
+        # with probability cos^2(kappa/2), independently
+        n, n_total, kappa = 3, 4, 1.1
+        c = np.zeros((n_total + 1, n_total + 1), dtype=complex)
+        c[(n, 0) if probe_mode == 0 else (0, n) if probe_mode == 1 else (0, 0)] = 1.0
+        occupied = n if probe_mode < 2 else n_total
+        rho = lossy_probe(general_probe(c, n_total), probe_mode, kappa)
+        keep = math.cos(kappa / 2) ** 2
+        kept = rho.basis.occupations()[:, probe_mode]
+        populations = np.real(np.diag(rho.matrix))
+        for k in range(occupied + 1):
+            expected = math.comb(occupied, k) * keep**k * (1 - keep) ** (occupied - k)
+            assert abs(populations[kept == k].sum() - expected) < 1e-12
+
     def test_qfi_decreases_with_coupling(self):
         probe = noon_probe_with_environment(3)
         previous = math.inf

@@ -249,6 +249,17 @@ class TestGeneralProbe:
         state = general_probe(c, n_total)
         assert np.isclose(abs(state.amplitude((0, 0, n_total, 0))), 1.0)
 
+    def test_environment_starts_in_vacuum(self):
+        n_total = 3
+        c = np.zeros((n_total + 1, n_total + 1), dtype=complex)
+        c[1, 1] = c[0, 2] = c[3, 0] = 1 / math.sqrt(3)
+        gates = [(PairAxis(0, 1, beta=0.8, phi=0.2), 0.7), (PairAxis(1, 2), 1.1)]
+        for state in (general_probe(c, n_total), general_probe(c, n_total, gates=gates)):
+            env = state.basis.occupations()[:, 3]
+            # a gate mixes degenerate eigenvectors, so rounding can leave ~1e-16
+            assert np.linalg.norm(state.amplitudes[env > 0]) < 1e-12
+            assert np.isclose(np.linalg.norm(state.amplitudes), 1.0, atol=1e-12)
+
     def test_gates_preserve_total_photon_number(self):
         rng = np.random.default_rng(3)
         n_total = 3
