@@ -349,7 +349,7 @@ SCENARIOS = {
             "kappas": (float, 0.0, math.pi, [k * math.pi / 16 for k in range(9)]),
         },
         _validate_lossy_sweep,
-        "mixed-state QFI of a four-mode probe after environment coupling, per kappa",
+        "mixed-state QFI of a three-mode probe under photon loss on one mode, per kappa",
     ),
     "variance-oracle": (
         _run_variance_oracle,

@@ -83,15 +83,10 @@ class Povm:
         return self.vectors.shape[0]
 
 
-def _applied(op: HermitianOp, vec: np.ndarray) -> np.ndarray:
-    """op |vec>: elementwise for a diagonal op, a matrix product otherwise."""
-    return op.matrix @ vec if op.weights is None else op.weights * vec
-
-
 def expectation(state: State, op: HermitianOp) -> float:
     _check_same_basis(state, op)
     if isinstance(state, PureState):
-        return float(np.real(np.vdot(state.amplitudes, _applied(op, state.amplitudes))))
+        return float(np.real(np.vdot(state.amplitudes, op._apply(state.amplitudes))))
     if op.weights is not None:
         return float(np.real(np.diag(state.matrix)) @ op.weights)
     return float(np.real(np.vdot(op.matrix, state.matrix)))  # tr(H rho), H Hermitian
@@ -101,11 +96,12 @@ def variance(state: State, op: HermitianOp) -> float:
     """<op^2> - <op>^2, clamped at zero (raises below -1e-10).
 
     For a diagonal op this is O(dim): it reads only the amplitudes, or
-    the diagonal of the density matrix.
+    the diagonal of the density matrix.  So is an off-axis ``schwinger_j``
+    on a pure state, which is applied from its ladder form.
     """
     _check_same_basis(state, op)
     if isinstance(state, PureState):
-        h_psi = _applied(op, state.amplitudes)  # once: it gives the mean and the deviation
+        h_psi = op._apply(state.amplitudes)  # once: it gives the mean and the deviation
         dev = h_psi - float(np.real(np.vdot(state.amplitudes, h_psi))) * state.amplitudes
         var = float(np.real(np.vdot(dev, dev)))
     else:

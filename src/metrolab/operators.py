@@ -77,12 +77,15 @@ class HermitianOp:
     vector over the occupation table (``weights``); a ``(dim, dim)`` array
     is a dense matrix (``weights`` is None), stored as its exactly Hermitian
     part (exactly Hermitian input keeps its bits), so sums and real
-    multiples pass the check again.  ``matrix`` is the dense form, built
-    once on first use for a diagonal operator.  Both are read-only.
-    Sums, differences and real multiples of diagonal operators stay diagonal.
+    multiples pass the check again.  An off-axis :func:`schwinger_j` is
+    stored in a third form, its ladder form (``weights`` is None too): the
+    diagonal plus the entries of ai† aj and of aj† ai.  ``matrix`` is the
+    dense form, built once on first use for a diagonal or ladder operator.
+    All are read-only.  Sums, differences and real multiples of diagonal
+    operators stay diagonal; those of a ladder operator are dense.
     """
 
-    __slots__ = ("basis", "weights", "_matrix", "label")
+    __slots__ = ("basis", "weights", "_ladder", "_matrix", "label")
 
     def __init__(self, basis: FockBasis, matrix, label: str = ""):
         arr = np.asarray(matrix)
@@ -106,16 +109,37 @@ class HermitianOp:
             mat.setflags(write=False)
         self.basis = basis
         self.weights = weights
+        self._ladder = None
         self._matrix = mat
         self.label = label
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            mat = np.diag(self.weights.astype(complex))
+            if self.weights is not None:
+                mat = np.diag(self.weights.astype(complex))
+            else:
+                diag, rows, cols, up, down = self._ladder
+                mat = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
+                np.fill_diagonal(mat, diag)
+                mat[rows, cols] = up
+                mat[cols, rows] = down
             mat.setflags(write=False)
             self._matrix = mat
         return self._matrix
+
+    def _apply(self, vec: np.ndarray) -> np.ndarray:
+        """op |vec>, from the stored form: no dense view is built for a diagonal or ladder op."""
+        if self.weights is not None:
+            return self.weights * vec
+        if self._ladder is None:
+            return self.matrix @ vec
+        diag, rows, cols, up, down = self._ladder
+        out = diag * vec
+        # rows are distinct, and so are cols, so a fancy-index += adds every entry
+        out[rows] += up * vec[cols]
+        out[cols] += down * vec[rows]
+        return out
 
     def __repr__(self) -> str:
         return f"HermitianOp({self.label or 'unlabeled'}, basis={self.basis!r})"
@@ -218,7 +242,7 @@ def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
 
     Along z (no x or y component) it is diagonal and kept as weights.
     Otherwise each column holds at most three nonzeros, the diagonal and
-    one ai† aj and one aj† ai entry, written into one zeroed matrix.
+    one ai† aj and one aj† ai entry, and it is kept in that ladder form.
     """
     i = _check_mode(basis, pair.i)
     j = _check_mode(basis, pair.j)
@@ -229,11 +253,10 @@ def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
     if abs(nx) > _AXIS_TOL or abs(ny) > _AXIS_TOL:
         rows, cols, amp = _ladder_entries(basis, j, i=i)
         amp = amp.astype(complex)
-        mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-        np.fill_diagonal(mat, diag)
-        mat[rows, cols] = (nx / 2.0) * amp + ((ny / 2.0) * 1j) * -amp
-        mat[cols, rows] = (nx / 2.0) * amp + ((ny / 2.0) * 1j) * amp
-        return _exact(HermitianOp, basis=basis, weights=None, _matrix=mat, label=label)
+        up = (nx / 2.0) * amp + ((ny / 2.0) * 1j) * -amp
+        down = (nx / 2.0) * amp + ((ny / 2.0) * 1j) * amp
+        return _exact(HermitianOp, basis=basis, weights=None, _ladder=(diag, rows, cols, up, down),
+                      _matrix=None, label=label)
     return HermitianOp(basis, diag, label=label)
 
 
@@ -305,7 +328,8 @@ def quadrature_p(basis: FockBasis, mode: int) -> HermitianOp:
     """
     a = annihilation(basis, mode)
     mat = 0.5j * (a.conj().T - a)
-    return _exact(HermitianOp, basis=basis, weights=None, _matrix=mat, label=f"p[{mode}]")
+    return _exact(HermitianOp, basis=basis, weights=None, _ladder=None, _matrix=mat,
+                  label=f"p[{mode}]")
 
 
 def weighted_number(basis: FockBasis, zeta: float) -> tuple[HermitianOp, HermitianOp]:

@@ -355,3 +355,18 @@ def test_c15_correlated_lossy_sweep_at_n_total_15_budget(tmp_path, monkeypatch):
     assert all(b <= a + 1e-12 * a for a, b in zip(qfis, qfis[1:]))
     assert elapsed < 2.0, f"correlated lossy-sweep at n_total=15 took {elapsed:.1f}s"
     report(15, "correlated lossy-sweep at n_total=15 (4-mode dim 3876), 9 kappas, under 2 s")
+
+
+def test_c16_variance_oracle_at_its_cap_budget(tmp_path, monkeypatch):
+    monkeypatch.delenv("METROLAB_MAX_DIM", raising=False)
+    doc = {"scenario": "variance-oracle", "params": {"num_cases": 10_000, "n_max": 60, "seed": 16}}
+    config = validate_config(json.dumps(doc))
+    config.output_path = str(tmp_path / "oracle.csv")
+    start = time.perf_counter()
+    assert run_scenario(config, stream=io.StringIO()) == 0
+    elapsed = time.perf_counter() - start
+    rows = (tmp_path / "oracle.csv").read_text(encoding="utf-8").splitlines()[2:]
+    assert len(rows) == 10_000
+    assert max(float(row.split(",")[-1]) for row in rows) <= 1e-10
+    assert elapsed < 8.0, f"variance-oracle at its cap took {elapsed:.1f}s"
+    report(16, "variance-oracle at its cap (10 000 cases, n_max=60), within 1e-10, under 8 s")

@@ -117,7 +117,9 @@ class TestVariance:
         state = two_mode_fixed_n(np.array([0.6, 0.0, 0.8j, 0.0]), 3)
         op = schwinger_j(state.basis, PairAxis(0, 1, **axis))
         assert (op.weights is None) == (axis is not Z_AXIS)
-        with mock.patch.object(metrology, "_applied", wraps=metrology._applied) as applied:
+        with mock.patch.object(
+            HermitianOp, "_apply", autospec=True, side_effect=HermitianOp._apply
+        ) as applied:
             var = variance(state, op)
         assert applied.call_count == 1
         assert abs(var - jn_variance_closed_form(state.amplitudes[-4:], 3, **axis)) <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -274,12 +275,55 @@ class TestScatterBuild:
         assert op.weights is None
         assert np.array_equal(op.matrix, reference_j(basis, pair))
         assert not op.matrix.flags.writeable
+        assert op.matrix is op.matrix  # built once, then cached
         HermitianOp(basis, op.matrix)  # the public hermiticity check
         raw = np.random.default_rng(seed).standard_normal((2, n_total + 1))
         state = two_mode_fixed_n((raw[0] + 1j * raw[1]) / np.linalg.norm(raw), n_total)
         pair2 = PairAxis(*((0, 1) if i < j else (1, 0)), beta=angles[0], phi=angles[1])
-        reference = HermitianOp(state.basis, reference_j(state.basis, pair2))
-        assert variance(state, schwinger_j(state.basis, pair2)) == variance(state, reference)
+        reference = variance(state, HermitianOp(state.basis, reference_j(state.basis, pair2)))
+        # the ladder apply sums each row in its own order, so only the last digits may differ
+        assert abs(variance(state, schwinger_j(state.basis, pair2)) - reference) <= 1e-13 * reference
+
+    @given(st.integers(2, 4), st.integers(0, 6), st.data(), off_axis_angles(), seeds)
+    def test_ladder_apply_matches_the_dense_product(self, num_modes, n_total, data, angles, seed):
+        basis = build_basis(num_modes, n_total)
+        i, j = data.draw(st.permutations(range(num_modes)))[:2]
+        pair = PairAxis(i, j, beta=angles[0], phi=angles[1])
+        _, nx, ny = pair.direction()
+        assume(abs(nx) > _AXIS_TOL or abs(ny) > _AXIS_TOL)
+        # spread over every sector, with sector weights of different sizes
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.1, 1.0, n_total + 1)[basis.occupations().sum(axis=1)]
+        amp = scale * (rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim))
+        state = PureState(basis, amp, normalize=True)
+        op = schwinger_j(basis, pair)
+        mean, var = expectation(state, op), variance(state, op)
+        assert op._matrix is None  # both read the ladder form only
+        v = state.amplitudes
+        dense_hv = op.matrix @ v
+        dense_mean = float(np.real(np.vdot(v, dense_hv)))
+        dense_dev = dense_hv - dense_mean * v
+        dense_var = float(np.real(np.vdot(dense_dev, dense_dev)))
+        assert np.max(np.abs(op._apply(v) - dense_hv), initial=0.0) <= 1e-13 * max(1, n_total)
+        assert abs(mean - dense_mean) <= 1e-13 * max(1, n_total)
+        assert abs(var - dense_var) <= 1e-13 * max(1.0, dense_var)
+
+    def test_variance_at_n_max_60_builds_no_dense_matrix(self):
+        basis = build_basis(2, 60)
+        rng = np.random.default_rng(60)
+        state = PureState(basis, rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim),
+                          normalize=True)
+        basis.occupations()
+        tracemalloc.start()
+        try:
+            op = schwinger_j(basis, PairAxis(0, 1, beta=1.1, phi=0.4))
+            variance(state, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op._matrix is None
+        dense_bytes = basis.dim**2 * np.dtype(complex).itemsize
+        assert peak < dense_bytes / 100, (peak, dense_bytes)
 
 
 class TestRotation:
