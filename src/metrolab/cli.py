@@ -283,7 +283,7 @@ def _run_lossy_sweep(params, rng):
 
 
 def _validate_lossy_sweep(params, errors):
-    _check_dim(4, params["n_total"], errors)
+    _check_dim(3, params["n_total"], errors)
 
 
 def _run_variance_oracle(params, rng):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import reprlib
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -72,8 +72,7 @@ class FockBasis:
 
     ``dim == C(n_total + num_modes, num_modes)``.  ``rank`` maps one
     occupation vector, or a ``(k, num_modes)`` array of them, to indices in
-    closed form; ``unrank`` is its inverse and reads the cached
-    :meth:`occupations` table.
+    closed form; the cached :meth:`occupations` table is its inverse.
     """
 
     __slots__ = ("num_modes", "n_total", "dim", "_occ_table", "_pascal_table", "_sectors")
@@ -100,11 +99,6 @@ class FockBasis:
 
     def __hash__(self) -> int:
         return hash((FockBasis, self.num_modes, self.n_total))
-
-    def sector_dim(self, s: int) -> int:
-        """Number of basis states with total photon number exactly `s`."""
-        block = self.sector_slice(s)
-        return block.stop - block.start
 
     def sector_slice(self, s: int) -> slice:
         """Contiguous index range of the total-photon-number-`s` sector.
@@ -178,11 +172,6 @@ class FockBasis:
         index += (table[rem[:, :-1], left] - table[rem[:, 1:], left]).sum(axis=1)
         return int(index[0]) if single else index
 
-    def unrank(self, index: int) -> tuple:
-        """Occupation vector at a given index; inverse of :meth:`rank`."""
-        index = _arg("index", index, 0, self.dim - 1, kind=int)
-        return tuple(self.occupations()[index].tolist())
-
     def occupations(self) -> np.ndarray:
         """All occupation vectors as a read-only (dim, num_modes) int array."""
         if self._occ_table is None:
@@ -193,12 +182,6 @@ class FockBasis:
             table.setflags(write=False)
             self._occ_table = table
         return self._occ_table
-
-    def basis_state(self, occ: Sequence[int]) -> "PureState":
-        """Unit vector for a single occupation configuration."""
-        amp = np.zeros(self.dim, dtype=complex)
-        amp[self.rank(occ)] = 1.0
-        return PureState(self, amp)
 
 
 @lru_cache(maxsize=None)
@@ -233,23 +216,8 @@ class PureState:
     def __repr__(self) -> str:
         return f"PureState(basis={self.basis!r})"
 
-    def amplitude(self, occ: Sequence[int]) -> complex:
-        return complex(self.amplitudes[self.basis.rank(occ)])
-
-    def overlap(self, other: "PureState") -> complex:
-        _check_same_basis(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def density_matrix(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
-
-    def to_mixed(self) -> "MixedState":
-        return _exact(MixedState, basis=self.basis, matrix=self.density_matrix())
-
-    def sector_masses(self) -> np.ndarray:
-        """Probability in each total-photon-number sector, indexed by sector."""
-        probs = np.abs(self.amplitudes) ** 2
-        return np.array([probs[block].sum() for block in self.basis.sectors()])
 
     def expand_cutoff(self, n_total: int) -> "PureState":
         """Same state re-indexed on a basis with a larger cutoff."""
@@ -289,14 +257,6 @@ class MixedState:
         """The stored, read-only matrix, so either kind of state answers this call."""
         return self.matrix
 
-    def purity(self) -> float:
-        """tr(rho^2), read as the sum of |rho_ij|^2 (rho is Hermitian)."""
-        return float(np.real(np.vdot(self.matrix, self.matrix)))
-
-    def sector_masses(self) -> np.ndarray:
-        probs = np.real(np.diag(self.matrix))
-        return np.array([probs[block].sum() for block in self.basis.sectors()])
-
 
 State = PureState | MixedState
 
@@ -323,36 +283,13 @@ def _hermiticity_residual(mat: np.ndarray) -> float:
         return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    # Eigenvalues that are zero up to roundoff are zeroed exactly: taking
-    # sqrt(1e-16)-sized noise would otherwise pollute the kernel block.
-    w, v = np.linalg.eigh(matrix)
-    floor = 1e-13 * max(float(w[-1]), 0.0)
-    w = np.where(w > floor, w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(a: State, b: State) -> float:
-    """Fidelity between two states on the same basis.
-
-    ``|<a|b>|^2`` for pure pairs, ``<psi|rho|psi>`` for a pure/mixed pair,
-    and the Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``
-    for mixed pairs.  Always within [0, 1].
-    """
+def fidelity(a: PureState, b: PureState) -> float:
+    """``|<a|b>|^2`` between two pure states on the same basis, within [0, 1]."""
+    for state in (a, b):
+        if not isinstance(state, PureState):
+            raise TypeError(f"fidelity expects two PureStates, got {type(state).__name__}")
     _check_same_basis(a, b)
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        value = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
-    elif isinstance(a, PureState) or isinstance(b, PureState):
-        psi, rho = (a, b) if isinstance(a, PureState) else (b, a)
-        value = float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
-    else:
-        # tr sqrt(sqrt(rho) sigma sqrt(rho)) equals the trace norm of
-        # sqrt(rho) sqrt(sigma); singular values avoid square-rooting
-        # eigenvalue noise, which matters for rank-deficient inputs.
-        product = _psd_sqrt(a.matrix) @ _psd_sqrt(b.matrix)
-        singular = np.linalg.svd(product, compute_uv=False)
-        value = float(np.sum(singular) ** 2)
-    return min(max(float(value), 0.0), 1.0)
+    return min(float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2), 1.0)
 
 
 def partial_trace(state: State, keep: Iterable[int]) -> MixedState:

@@ -75,9 +75,6 @@ class Povm:
         v.setflags(write=False)
         self.vectors = v
 
-    def __len__(self) -> int:
-        return self.vectors.shape[1]
-
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]

@@ -71,18 +71,17 @@ class PairAxis:
 
 
 class HermitianOp:
-    """A Hermitian operator tied to a basis; supports +, - and real scaling.
+    """A Hermitian operator tied to a basis.
 
     A ``(dim,)`` real array is a diagonal operator, stored as that weight
     vector over the occupation table (``weights``); a ``(dim, dim)`` array
     is a dense matrix (``weights`` is None), stored as its exactly Hermitian
-    part (exactly Hermitian input keeps its bits), so sums and real
-    multiples pass the check again.  An off-axis :func:`schwinger_j` is
-    stored in a third form, its ladder form (``weights`` is None too): the
-    diagonal plus the entries of ai† aj and of aj† ai.  ``matrix`` is the
-    dense form, built once on first use for a diagonal or ladder operator.
-    All are read-only.  Sums, differences and real multiples of diagonal
-    operators stay diagonal; those of a ladder operator are dense.
+    part (exactly Hermitian input keeps its bits), so a caller's matrix
+    accepted within 1e-12 is Hermitian to the bit from then on.  An
+    off-axis :func:`schwinger_j` is stored in a third form, its ladder form
+    (``weights`` is None too): the diagonal plus the entries of ai† aj and
+    of aj† ai.  ``matrix`` is the dense form, built once on first use for a
+    diagonal or ladder operator.  All are read-only.
     """
 
     __slots__ = ("basis", "weights", "_ladder", "_matrix", "label")
@@ -146,32 +145,6 @@ class HermitianOp:
 
     def _data(self) -> np.ndarray:
         return self.matrix if self.weights is None else self.weights
-
-    def _operands(self, other: "HermitianOp") -> tuple[np.ndarray, np.ndarray]:
-        _check_same_basis(self, other)
-        if self.weights is None or other.weights is None:
-            return self.matrix, other.matrix
-        return self.weights, other.weights
-
-    def __add__(self, other: "HermitianOp") -> "HermitianOp":
-        a, b = self._operands(other)
-        return HermitianOp(self.basis, a + b)
-
-    def __sub__(self, other: "HermitianOp") -> "HermitianOp":
-        a, b = self._operands(other)
-        return HermitianOp(self.basis, a - b)
-
-    def __mul__(self, scalar) -> "HermitianOp":
-        if isinstance(scalar, (complex, np.complexfloating)):
-            if scalar.imag != 0:
-                raise TypeError("only real scalars preserve hermiticity")
-            scalar = scalar.real
-        return HermitianOp(self.basis, _arg("scalar", scalar) * self._data())
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "HermitianOp":
-        return HermitianOp(self.basis, -self._data())
 
 
 class UnitaryOp:
@@ -324,7 +297,9 @@ def quadrature_p(basis: FockBasis, mode: int) -> HermitianOp:
 
     Built on the truncated space without a tail guard; consumers acting
     near the cutoff must check the state's boundary-sector mass
-    themselves (:meth:`~metrolab.fock.PureState.sector_masses`).
+    themselves: the mass ``sum |c_k|^2`` over the top sector, the
+    indices ``k`` in ``basis.sector_slice(basis.n_total)``, where a†
+    would leave the truncated space.
     """
     a = annihilation(basis, mode)
     mat = 0.5j * (a.conj().T - a)
@@ -332,11 +307,11 @@ def quadrature_p(basis: FockBasis, mode: int) -> HermitianOp:
                   label=f"p[{mode}]")
 
 
-def weighted_number(basis: FockBasis, zeta: float) -> tuple[HermitianOp, HermitianOp]:
-    """The pair (n_zeta, n_zeta_perp) of weighted number generators.
+def weighted_number(basis: FockBasis, zeta: float) -> HermitianOp:
+    """The weighted number generator n_zeta = cos(zeta) n0 + sin(zeta) n1, diagonal (weights).
 
-    n_zeta = cos(zeta) n0 + sin(zeta) n1 and
-    n_zeta_perp = sin(zeta) n0 - cos(zeta) n1, both diagonal (weights).
+    Its perpendicular partner sin(zeta) n0 - cos(zeta) n1 is
+    ``weighted_number(basis, zeta - pi / 2)``, up to roundoff.
     """
     if basis.num_modes < 2:
         raise ValueError("weighted_number needs at least 2 modes")
@@ -345,6 +320,4 @@ def weighted_number(basis: FockBasis, zeta: float) -> tuple[HermitianOp, Hermiti
     n0 = occ[:, 0].astype(float)
     n1 = occ[:, 1].astype(float)
     c, s = math.cos(zeta), math.sin(zeta)
-    n_zeta = HermitianOp(basis, c * n0 + s * n1, label=f"n_zeta[{zeta:.6g}]")
-    n_perp = HermitianOp(basis, s * n0 - c * n1, label=f"n_zeta_perp[{zeta:.6g}]")
-    return n_zeta, n_perp
+    return HermitianOp(basis, c * n0 + s * n1, label=f"n_zeta[{zeta:.6g}]")

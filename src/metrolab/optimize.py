@@ -192,6 +192,5 @@ def sweep_qfi_vs_zeta(state: State, zetas: Sequence[float]) -> np.ndarray:
         raise ValueError("zeta grid must be non-empty")
     rows = np.empty((len(zetas), 2))
     for k, zeta in enumerate(zetas):
-        n_zeta, _ = weighted_number(state.basis, zeta)
-        rows[k] = (zeta, 4.0 * variance(state, n_zeta))
+        rows[k] = (zeta, 4.0 * variance(state, weighted_number(state.basis, zeta)))
     return rows

@@ -200,7 +200,7 @@ def test_c08_zeta_optimization():
         v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         state = PureState(basis, v, normalize=True)
         zeta = float(rng.uniform(0, 2 * math.pi))
-        n_zeta, n_perp = weighted_number(basis, zeta)
+        n_zeta, n_perp = weighted_number(basis, zeta), weighted_number(basis, zeta - math.pi / 2)
         lhs = variance(state, n_zeta) + variance(state, n_perp)
         rhs = variance(state, number_op(basis, 0)) + variance(state, number_op(basis, 1))
         assert abs(lhs - rhs) < 1e-10
@@ -348,13 +348,13 @@ def test_c15_correlated_lossy_sweep_at_n_total_15_budget(tmp_path, monkeypatch):
     start = time.perf_counter()
     assert run_scenario(config, stream=io.StringIO()) == 0
     elapsed = time.perf_counter() - start
-    assert build_basis(4, 15).dim == 3876
+    assert build_basis(3, 15).dim == 816
     rows = (tmp_path / "lossy.csv").read_text(encoding="utf-8").splitlines()[2:]
     qfis = [float(row.split(",")[1]) for row in rows]
     assert len(qfis) == 9
     assert all(b <= a + 1e-12 * a for a, b in zip(qfis, qfis[1:]))
     assert elapsed < 2.0, f"correlated lossy-sweep at n_total=15 took {elapsed:.1f}s"
-    report(15, "correlated lossy-sweep at n_total=15 (4-mode dim 3876), 9 kappas, under 2 s")
+    report(15, "correlated lossy-sweep at n_total=15 (3-mode dim 816), 9 kappas, under 2 s")
 
 
 def test_c16_variance_oracle_at_its_cap_budget(tmp_path, monkeypatch):

@@ -4,12 +4,18 @@
 traced run and calls the library directly in its ``measure`` workload.
 Its own tests are not part of this suite, so a removed or renamed target
 would otherwise surface only as a failed traced run.
+
+Every public method and property of an exported class must have a
+consumer outside the tests of that method: the package itself, the
+benchmark harness, the tools or the acceptance criteria.
 """
 
+import glob
 import importlib
 import importlib.util
 import inspect
 import os
+import re
 
 import pytest
 
@@ -29,6 +35,20 @@ def load_perfbench(name):
 
 
 SPANS = load_perfbench("spans")
+
+CONSUMER_FILES = [
+    *glob.glob(os.path.join(ROOT, "src", "metrolab", "*.py")),
+    *glob.glob(os.path.join(PERFBENCH, "**", "*.py"), recursive=True),
+    *glob.glob(os.path.join(ROOT, "tools", "*.py")),
+    os.path.join(ROOT, "tests", "test_acceptance.py"),
+]
+MEMBERS = [
+    (cls_name, attr)
+    for cls_name in metrolab.__all__
+    if inspect.isclass(cls := getattr(metrolab, cls_name))
+    for attr, value in vars(cls).items()
+    if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(value, property))
+]
 
 
 @pytest.mark.parametrize(
@@ -62,3 +82,19 @@ def test_the_measure_chain_runs_and_passes_its_gate():
     op = workloads.prepare(min(block, key=lambda op: op["n_total"]), "")
     result = workloads.execute(op, metrolab, None)
     assert workloads.check(op, result, "", "") == (1, None)
+
+
+@pytest.mark.parametrize("cls_name,attr", MEMBERS, ids=[f"{c}.{a}" for c, a in MEMBERS])
+def test_every_public_method_has_a_consumer(cls_name, attr):
+    """`.attr` is read somewhere in CONSUMER_FILES, outside backquoted text.
+
+    Its own `def attr` line never matches, and neither does a docstring
+    or comment that names it in backquotes.
+    """
+    use = re.compile(rf"\.{attr}\b")
+    for path in CONSUMER_FILES:
+        with open(path, encoding="utf-8") as handle:
+            if use.search(re.sub(r"`[^`\n]*`", "", handle.read())):
+                return
+    pytest.fail(f"{cls_name}.{attr} has no consumer in src/metrolab, perfbench, tools "
+                "or tests/test_acceptance.py")

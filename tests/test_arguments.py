@@ -50,6 +50,7 @@ from metrolab import (
     weighted_number,
     with_reference,
 )
+from reference import to_mixed
 
 BASIS = build_basis(2, 3)
 NOON = noon(2)
@@ -63,17 +64,16 @@ POVM = optimal_povm(RHO, GEN)
 THREE_MODE = correlated_three_mode([0.6, 0.8], 2)
 COHERENT = coherent_truncated(0.5, 30)
 AXIS = PairAxis(0, 1, beta=1.0, phi=0.3)
-DENSE_J = schwinger_j(BASIS, AXIS)
 
 # (entry point and argument, name the message must contain, call with the
 # argument replaced, an out-of-range value or None for an unbounded float)
 CASES = [
     ("FockBasis-num_modes", "num_modes", lambda v: FockBasis(v, 2), 0),
     ("FockBasis-n_total", "n_total", lambda v: FockBasis(2, v), -1),
+    ("build_basis-num_modes", "num_modes", lambda v: build_basis(v, 2), 0),
+    ("build_basis-n_total", "n_total", lambda v: build_basis(2, v), -1),
     ("sector_slice-s", "sector", lambda v: BASIS.sector_slice(v), 4),
-    ("sector_dim-s", "sector", lambda v: BASIS.sector_dim(v), 4),
-    ("unrank-index", "index", lambda v: BASIS.unrank(v), BASIS.dim),
-    ("basis_state-occupation", "occupation", lambda v: BASIS.basis_state((0, v)), None),
+    ("rank-occupation", "occupation", lambda v: BASIS.rank((0, v)), None),
     ("expand_cutoff-n_total", "n_total", lambda v: NOON.expand_cutoff(v), 1),
     ("partial_trace-keep", "keep mode", lambda v: partial_trace(NOON, [v]), 2),
     ("PairAxis-i", "mode i", lambda v: PairAxis(v, 1), -1),
@@ -83,8 +83,6 @@ CASES = [
     ("number_op-mode", "mode", lambda v: number_op(BASIS, v), 2),
     ("annihilation-mode", "mode", lambda v: annihilation(BASIS, v), 2),
     ("quadrature_p-mode", "mode", lambda v: quadrature_p(COHERENT.basis, v), 1),
-    ("HermitianOp-scalar-diagonal", "scalar", lambda v: NOON_JZ * v, None),
-    ("HermitianOp-scalar-dense", "scalar", lambda v: v * DENSE_J, None),
     ("rotation_unitary-angle", "angle", lambda v: rotation_unitary(BASIS, AXIS, v), None),
     ("spin_squeeze_unitary-gamma", "gamma", lambda v: spin_squeeze_unitary(BASIS, AXIS, v), None),
     ("weighted_number-zeta", "zeta", lambda v: weighted_number(BASIS, v), None),
@@ -123,6 +121,8 @@ CASES = [
     # out of range: a profile whose norm is not 1
     ("jn_variance_closed_form-coeffs", "coefficient",
      lambda v: jn_variance_closed_form([v, 0.8], 1, 0.5, 0.0), 0.7),
+    ("jy_variance_closed_form-n_total", "n_total",
+     lambda v: jy_variance_closed_form([0.6, 0.8], v), -1),
     ("jy_variance_closed_form-coeffs", "coefficient",
      lambda v: jy_variance_closed_form([v, v], 1), 2.0),
     ("number_covariance-modes", "mode", lambda v: number_covariance(NOON, [0, v]), 2),
@@ -161,7 +161,7 @@ def test_rejects_with_a_message_naming_the_argument(call, name, bad):
         lambda: lossy_probe(PROBE, 2, 0.3),
         lambda: loss_channel(THREE_MODE, 2, 0.3),
         lambda: PairAxis(np.int64(0), np.int64(1)),
-        lambda: build_basis(2, 3).unrank(np.int64(9)),
+        lambda: build_basis(2, 3).sector_slice(np.int64(3)),
         lambda: annihilation(BASIS, 1),
         lambda: quadrature_p(COHERENT.basis, 0),
         lambda: cv_cat(0.0, 0),
@@ -170,7 +170,7 @@ def test_rejects_with_a_message_naming_the_argument(call, name, bad):
     ],
     ids=["nu=1", "qfi_mixed-floor=0", "optimal_povm-floor=0",
          "cutoff=0", "probe_mode=2", "loss_channel-mode=2", "numpy-int-modes",
-         "numpy-int-index", "annihilation-mode=1", "quadrature_p-mode=0",
+         "numpy-int-sector", "annihilation-mode=1", "quadrature_p-mode=0",
          "cv_cat-cutoff=0", "with_reference-n_total=0"],
 )
 def test_accepts_boundary_values(call):
@@ -192,7 +192,7 @@ def test_rejects_a_non_integral_count(call):
 
 def test_loss_channel_takes_a_pure_state_only():
     with pytest.raises(TypeError, match="PureState"):
-        loss_channel(THREE_MODE.to_mixed(), 0, 0.3)
+        loss_channel(to_mixed(THREE_MODE), 0, 0.3)
 
 
 def test_an_integer_too_large_for_a_float_is_out_of_range():

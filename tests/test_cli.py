@@ -90,7 +90,7 @@ class TestValidateConfig:
 
     def test_dim_cap_env_override(self, monkeypatch):
         doc = {"scenario": "lossy-sweep", "params": {"n_total": 12}}
-        validate_config(json.dumps(doc))  # C(16,4) = 1820 fits the default cap
+        validate_config(json.dumps(doc))  # C(15,3) = 455 fits the default cap
         for raw in ("100", "lots", "-5", "0"):
             monkeypatch.setenv("METROLAB_MAX_DIM", raw)
             with pytest.raises(ConfigError) as err:
@@ -98,6 +98,27 @@ class TestValidateConfig:
             assert any("METROLAB_MAX_DIM" in line for line in err.value.errors)
         monkeypatch.setenv("METROLAB_MAX_DIM", "2000")
         validate_config(json.dumps(doc))
+
+    def test_lossy_sweep_validates_and_runs_at_n_total_16(self, tmp_path, monkeypatch):
+        """The cap counts the 3-mode basis the scenario builds: C(19,3) = 969."""
+        monkeypatch.delenv("METROLAB_MAX_DIM", raising=False)
+        config = validate_config(json.dumps({"scenario": "lossy-sweep", "params": {"n_total": 16}}))
+        config.output_path = str(tmp_path / "lossy.csv")
+        assert run_scenario(config) == 0
+        _, rows = read_rows(tmp_path / "lossy.csv")
+        assert len(rows) == 9
+
+    def test_lossy_sweep_refuses_n_total_28_by_its_3_mode_dim(self, monkeypatch):
+        monkeypatch.delenv("METROLAB_MAX_DIM", raising=False)
+        doc = {"scenario": "lossy-sweep", "params": {"n_total": 27}}
+        validate_config(json.dumps(doc))  # C(30,3) = 4060, the largest that fits
+        doc["params"]["n_total"] = 28
+        with pytest.raises(ConfigError) as err:
+            validate_config(json.dumps(doc))
+        assert err.value.errors == [
+            "basis dimension 4495 (3 modes, cutoff 28) exceeds the cap 4096 "
+            "(override with METROLAB_MAX_DIM)"
+        ]
 
     def test_defaults(self):
         # The parameters each scenario runs with when the config gives none;

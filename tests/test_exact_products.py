@@ -79,12 +79,9 @@ def test_reduced_states_pass_the_mixed_constructor(num_modes, n_total, seed, mix
     basis = build_basis(num_modes, n_total)
     state = random_state(seed, basis, mixed)
     keep = data.draw(st.sets(st.integers(0, num_modes - 1), min_size=1))
-    products = [partial_trace(state, keep)]
-    if not mixed:
-        products.append(state.to_mixed())
-    for rho in products:
-        MixedState(rho.basis, rho.matrix)  # hermiticity, trace and PSD
-        assert not rho.matrix.flags.writeable
+    rho = partial_trace(state, keep)
+    MixedState(rho.basis, rho.matrix)  # hermiticity, trace and PSD
+    assert not rho.matrix.flags.writeable
 
 
 @given(st.integers(1, 3), seeds, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -96,7 +93,7 @@ def test_optimal_povm_passes_the_povm_constructor(n_total, seed, purity, kappa0)
     axis = PairAxis(0, 1, beta=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi))
     povm = optimal_povm(MixedState(basis, rho), schwinger_j(basis, axis), kappa0=kappa0)
     Povm(povm.vectors)
-    assert len(povm) == basis.dim
+    assert povm.vectors.shape[1] == basis.dim
     assert not povm.vectors.flags.writeable
 
 
@@ -108,7 +105,7 @@ def test_optimal_povm_runs_no_eigvalsh():
     generator = schwinger_j(rho.basis, PairAxis(0, 2))
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         povm = optimal_povm(rho, generator, kappa0=0.37)
-    assert len(povm) == 56 and eigvalsh.call_count == 0
+    assert povm.vectors.shape[1] == 56 and eigvalsh.call_count == 0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import metrolab
 from metrolab import (
+    HermitianOp,
     PairAxis,
     PureState,
     build_basis,
@@ -31,6 +32,7 @@ from metrolab import (
     variance,
     with_reference,
 )
+from reference import amplitude, basis_state, purity, sector_masses
 
 
 def random_profile(rng, length):
@@ -55,7 +57,7 @@ def embedded_rotated_fock(n_total, theta, phi):
 class TestTwoModeFixedN:
     def test_single_coefficient(self):
         state = two_mode_fixed_n([1, 0, 0, 0], 3)
-        assert np.isclose(abs(state.amplitude((0, 3))), 1.0)
+        assert np.isclose(abs(amplitude(state, (0, 3))), 1.0)
 
     def test_noon_coefficients(self):
         c = np.zeros(5)
@@ -80,8 +82,8 @@ class TestTwoModeFixedN:
 class TestNoon:
     def test_n1_amplitudes(self):
         state = noon(1)
-        assert np.isclose(state.amplitude((1, 0)), 1 / math.sqrt(2))
-        assert np.isclose(state.amplitude((0, 1)), 1 / math.sqrt(2))
+        assert np.isclose(amplitude(state, (1, 0)), 1 / math.sqrt(2))
+        assert np.isclose(amplitude(state, (0, 1)), 1 / math.sqrt(2))
 
     def test_jz_variance(self):
         state = noon(6)
@@ -93,7 +95,7 @@ class TestNoon:
         from metrolab import partial_trace
 
         reduced = partial_trace(noon(n_total), keep={0})
-        assert np.isclose(reduced.purity(), 0.5, atol=1e-12)
+        assert np.isclose(purity(reduced), 0.5, atol=1e-12)
 
     def test_rejects_zero_photons(self):
         with pytest.raises(ValueError):
@@ -114,8 +116,8 @@ class TestRotatedFock:
 
     def test_poles(self):
         n_total = 5
-        assert np.isclose(abs(rotated_fock(n_total, 0.0).amplitude((0, n_total))), 1.0)
-        assert np.isclose(abs(rotated_fock(n_total, math.pi).amplitude((n_total, 0))), 1.0)
+        assert np.isclose(abs(amplitude(rotated_fock(n_total, 0.0), (0, n_total))), 1.0)
+        assert np.isclose(abs(amplitude(rotated_fock(n_total, math.pi), (n_total, 0))), 1.0)
 
     def test_matches_rotation_unitary_convention(self):
         for phi in (0.0, 0.8, 4.0):
@@ -123,7 +125,7 @@ class TestRotatedFock:
             basis = build_basis(2, n_total)
             axis = PairAxis(0, 1, beta=math.pi / 2, phi=math.pi / 2 - phi)
             u = rotation_unitary(basis, axis, theta)
-            direct = u.apply(basis.basis_state((0, n_total)))
+            direct = u.apply(basis_state(basis, (0, n_total)))
             assert np.max(np.abs(direct.amplitudes - rotated_fock(n_total, theta, phi).amplitudes)) < 1e-10
 
     def test_overlap_with_the_unrotated_state(self):
@@ -219,7 +221,7 @@ class TestCvCat:
 class TestCorrelatedThreeMode:
     def test_single_branch(self):
         state = correlated_three_mode([1, 0, 0], 5)
-        assert np.isclose(abs(state.amplitude((0, 0, 5))), 1.0)
+        assert np.isclose(abs(amplitude(state, (0, 0, 5))), 1.0)
 
     def test_equal_mode_means(self):
         rng = np.random.default_rng(1)
@@ -233,7 +235,8 @@ class TestCorrelatedThreeMode:
         rng = np.random.default_rng(2)
         c = random_profile(rng, 4)
         state = correlated_three_mode(c, 6)
-        diff = number_op(state.basis, 0) - number_op(state.basis, 1)
+        n0, n1 = number_op(state.basis, 0), number_op(state.basis, 1)
+        diff = HermitianOp(state.basis, n0.weights - n1.weights)
         assert variance(state, diff) < 1e-14
 
     def test_rejects_wrong_length(self):
@@ -247,7 +250,7 @@ class TestGeneralProbe:
         c = np.zeros((n_total + 1, n_total + 1), dtype=complex)
         c[0, 0] = 1.0
         state = general_probe(c, n_total)
-        assert np.isclose(abs(state.amplitude((0, 0, n_total, 0))), 1.0)
+        assert np.isclose(abs(amplitude(state, (0, 0, n_total, 0))), 1.0)
 
     def test_environment_starts_in_vacuum(self):
         n_total = 3
@@ -270,7 +273,7 @@ class TestGeneralProbe:
             (PairAxis(1, 3, beta=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi)), 1.2),
         ]
         state = general_probe(c, n_total, gates=gates)
-        masses = state.sector_masses()
+        masses = sector_masses(state)
         assert np.isclose(masses[n_total], 1.0, atol=1e-12)
 
     def test_dephasing_product_matches_diagonal_phase(self):
@@ -331,11 +334,11 @@ class TestReferenceHelpers:
         state = coherent_truncated(1.0, coherent_cutoff(1.0))
         embedded = with_reference(state, 10)
         assert np.isclose(np.linalg.norm(embedded.amplitudes), 1.0)
-        assert np.isclose(embedded.sector_masses()[10], 1.0)
+        assert np.isclose(sector_masses(embedded)[10], 1.0)
 
     def test_drop_reference_needs_fixed_sector(self):
         basis = build_basis(2, 3)
-        mixed_sector = basis.basis_state((0, 0))
+        mixed_sector = basis_state(basis, (0, 0))
         with pytest.raises(ValueError):
             drop_reference(mixed_sector)
 
@@ -369,7 +372,7 @@ class TestReferenceHelpers:
 def test_factories_normalized_in_fixed_sector(factory):
     state = factory()
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
-    masses = state.sector_masses()
+    masses = sector_masses(state)
     assert np.isclose(masses[state.basis.n_total], 1.0, atol=1e-12)
 
 

@@ -40,14 +40,14 @@ THREADS = ("1", "2")
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The six scenarios at their defaults, plus the larger or less common
-# paths: the oracle and the NOON sweep at the n_total cap, a 3-mode basis
-# of dim 1771, caller-given zeta coefficients, the correlated lossy probe
+# paths: the oracle and the NOON sweep at the n_total cap, 3-mode bases
+# of dim 1771 and of dim 3654 (the size acceptance c12 budgets, 64 grid
+# points), caller-given zeta coefficients, the correlated lossy probe
 # and the NOON lossy probe at n_total 8 with the loss on mode 2.  The
-# off-axis J_n build is also run on 400 oracle axes and on the lossy
-# coupling of pair (1, 3) at dim 1820.  The correlated lossy sweep at
-# n_total 14 runs over 4 kappas and over the default 9; the latter wrote
-# different bytes at 1 and at 2 BLAS threads before the sweep ran on
-# three modes.  Two runs sit at the argument caps:
+# off-axis J_n build is also run on 400 oracle axes.  The correlated
+# lossy sweep at n_total 14 runs over 4 kappas and over the default 9;
+# the latter wrote different bytes at 1 and at 2 BLAS threads before the
+# sweep ran on three modes.  Two runs sit at the argument caps:
 # `rotated_fock` at N = 400 and `coherent_cutoff` at alpha = 6.  The
 # cat-vs-noon alphas 1.0, 1.01 and 1.02 all take cutoff 14, so each
 # number operator after the first is one on a basis already seen.
@@ -60,6 +60,7 @@ CONFIGS.update({
     },
     "noon-scaling-n60": {"scenario": "noon-scaling", "params": {"n_values": list(range(1, 61))}},
     "zeta-optimize-n20": {"scenario": "zeta-optimize", "params": {"n_total": 20}},
+    "zeta-optimize-n26": {"scenario": "zeta-optimize", "params": {"n_total": 26}},
     "zeta-optimize-coeffs": {
         "scenario": "zeta-optimize",
         "params": {"n_total": 6, "coeffs": [0.3, -1.2, 0.5, 2.0]},
