@@ -7,8 +7,9 @@ lexicographically within each fixed-total sector.  The fixed-``n_total``
 sector is therefore the contiguous tail block of the index range, and
 number-conserving operators are block diagonal in this ordering.
 
-Everything is dense and immutable after construction.  Matrix
-eigendecompositions stay practical up to dimension ~4096.
+Everything is dense and immutable after construction, but a mixed state
+keeps its sector blocks and one eigendecomposition per block once found.
+Matrix eigendecompositions stay practical up to dimension ~4096.
 """
 
 from __future__ import annotations
@@ -216,8 +217,20 @@ class PureState:
     def __repr__(self) -> str:
         return f"PureState(basis={self.basis!r})"
 
-    def density_matrix(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+    def _factors(self, blocks=None) -> tuple:
+        """(block, psi there) per block of the coarser of `blocks` and rho's (rho = psi psi†).
+
+        With no `blocks`, or with psi on several sectors (rho keeps their
+        coherences), it is one whole block, and psi stays 1-D.
+        """
+        if blocks is None or sum(np.any(self.amplitudes[b]) for b in self.basis.sectors()) > 1:
+            return ((slice(None), self.amplitudes),)
+        return tuple((block, self.amplitudes[block]) for block in blocks)
+
+    def _eigenpairs(self, blocks) -> tuple:
+        """(block, p, vecs) per block of the coarser of `blocks` and rho's, one eigh each."""
+        rho = np.outer(self.amplitudes, self.amplitudes.conj())
+        return _spectrum(rho, min(_blocks(self.basis, rho), blocks, key=len))
 
     def expand_cutoff(self, n_total: int) -> "PureState":
         """Same state re-indexed on a basis with a larger cutoff."""
@@ -231,7 +244,7 @@ class PureState:
 class MixedState:
     """Hermitian, unit-trace, PSD density matrix over a :class:`FockBasis` (all checked)."""
 
-    __slots__ = ("basis", "matrix")
+    __slots__ = ("basis", "matrix", "_eig")
 
     def __init__(self, basis: FockBasis, matrix):
         mat = np.array(matrix, dtype=complex)
@@ -253,9 +266,18 @@ class MixedState:
     def __repr__(self) -> str:
         return f"MixedState(basis={self.basis!r})"
 
-    def density_matrix(self) -> np.ndarray:
-        """The stored, read-only matrix, so either kind of state answers this call."""
-        return self.matrix
+    def _eigenpairs(self, blocks) -> tuple:
+        """(block, p, vecs) per block of the coarser of `blocks` and rho's; rho's own are kept."""
+        if len(blocks) < len(self.basis.sectors()):  # for an operator that mixes sectors
+            return _spectrum(self.matrix, blocks)
+        if getattr(self, "_eig", None) is None:
+            self._eig = _spectrum(self.matrix, _blocks(self.basis, self.matrix))
+        return self._eig
+
+    def _factors(self, blocks=None) -> tuple:
+        """(block, V) per :meth:`_eigenpairs` block: rho = V V† there, V = vecs sqrt(p > 0)."""
+        pairs = self._eigenpairs(blocks or self.basis.sectors())
+        return tuple((block, vecs[:, p > 0] * np.sqrt(p[p > 0])) for block, p, vecs in pairs)
 
 
 State = PureState | MixedState
@@ -277,6 +299,24 @@ def _exact(cls, **fields):
     return obj
 
 
+def _blocks(basis: FockBasis, mat: np.ndarray) -> tuple[slice, ...]:
+    """The basis's sectors if `mat` is block diagonal over them, else one whole block."""
+    sectors = basis.sectors()
+    if np.count_nonzero(mat) != sum(np.count_nonzero(mat[b, b]) for b in sectors):
+        return (slice(None),)
+    return sectors
+
+
+def _spectrum(h: np.ndarray, blocks) -> tuple:
+    """(block, w, v) per block of a Hermitian H, block diagonal over `blocks`, one eigh each."""
+    return tuple((block, *np.linalg.eigh(h[block, block])) for block in blocks)
+
+
+def _gram(v: np.ndarray) -> np.ndarray:
+    """V V† of a factor; a 1-D one gives the bits of one outer product."""
+    return np.outer(v, v.conj()) if v.ndim == 1 else v @ v.conj().T
+
+
 def _hermiticity_residual(mat: np.ndarray) -> float:
     """max |M - M^dagger|; NaN or inf, without a warning, on non-finite input."""
     with np.errstate(invalid="ignore", over="ignore"):
@@ -296,8 +336,9 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
     """Reduced state on the modes listed in `keep` (ascending original order).
 
     The reduced basis keeps the original cutoff, so the output lives on
-    ``FockBasis(len(keep), n_total)``.  Trace and hermiticity are
-    preserved exactly up to roundoff.
+    ``FockBasis(len(keep), n_total)``.  Each factor V of rho = sum V V†
+    adds V V† over the rows that share one configuration of the traced modes.
+    Trace and hermiticity are preserved exactly up to roundoff.
     """
     basis = state.basis
     keep = sorted(set(_arg("keep mode", k, 0, basis.num_modes - 1, kind=int) for k in keep))
@@ -305,22 +346,19 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
         raise ValueError("keep must contain at least one mode")
     traced = [m for m in range(basis.num_modes) if m not in keep]
 
-    if not traced:
-        return _exact(MixedState, basis=basis, matrix=state.density_matrix())
-
     reduced = build_basis(len(keep), basis.n_total)
     occ = basis.occupations()
     kept_rank = reduced.rank(occ[:, keep])
-    traced_key = build_basis(len(traced), basis.n_total).rank(occ[:, traced])
+    # with no mode traced out, every row shares the one empty configuration
+    traced_key = (build_basis(len(traced), basis.n_total).rank(occ[:, traced]) if traced
+                  else np.zeros(basis.dim, dtype=np.int64))
 
-    pure = isinstance(state, PureState)
-    amp = state.amplitudes if pure else None
     out = np.zeros((reduced.dim, reduced.dim), dtype=complex)
-    # a pure state's configurations of zero amplitude add nothing, so they are skipped
-    for key in np.unique(traced_key[np.abs(amp) > 0] if pure else traced_key):
-        idx = np.nonzero(traced_key == key)[0]
-        block = np.outer(amp[idx], amp[idx].conj()) if pure else state.matrix[np.ix_(idx, idx)]
-        out[np.ix_(kept_rank[idx], kept_rank[idx])] += block
+    for block, v in state._factors():
+        rows = np.arange(basis.dim)[block]
+        live = np.any(v.reshape(len(rows), -1) != 0, axis=1)  # zero rows add nothing
+        for key in np.unique(traced_key[rows[live]]):
+            hit = live & (traced_key[rows] == key)
+            out[np.ix_(kept_rank[rows[hit]], kept_rank[rows[hit]])] += _gram(v[hit])
     out = (out + out.conj().T) / 2
     return _exact(MixedState, basis=reduced, matrix=out)
-

@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .fock import (
-    PureState, State, _arg, _check_same_basis, _checked_profile, _exact
+    PureState, State, _arg, _check_same_basis, _checked_profile, _exact, _gram
 )
-from .operators import HermitianOp, _blocks, _exp_i_blocks, _spectrum, _unitarity_residual
+from .operators import HermitianOp, _exp_i_blocks, _spectrum, _unitarity_residual
 
 VARIANCE_FLOOR = -1e-10
 PROB_FLOOR = 1e-12
@@ -80,34 +80,29 @@ class Povm:
         return self.vectors.shape[0]
 
 
-def expectation(state: State, op: HermitianOp) -> float:
+def _applied(state: State, op: HermitianOp) -> list:
+    """(V, H V) for each factor V of rho = sum V V†, on blocks that H keeps."""
     _check_same_basis(state, op)
-    if isinstance(state, PureState):
-        return float(np.real(np.vdot(state.amplitudes, op._apply(state.amplitudes))))
-    if op.weights is not None:
-        return float(np.real(np.diag(state.matrix)) @ op.weights)
-    return float(np.real(np.vdot(op.matrix, state.matrix)))  # tr(H rho), H Hermitian
+    keeps = op._blocks()
+    factors = state._factors() if len(keeps) > 1 else state._factors(keeps)
+    return [(v, op._apply(v, block)) for block, v in factors]
+
+
+def expectation(state: State, op: HermitianOp) -> float:
+    """tr(rho H), the sum of Re tr(V† H V) over the factors V of rho."""
+    return sum(float(np.real(np.vdot(v, h_v))) for v, h_v in _applied(state, op))
 
 
 def variance(state: State, op: HermitianOp) -> float:
-    """<op^2> - <op>^2, clamped at zero (raises below -1e-10).
+    """<op^2> - <op>^2 = sum ||(H - <H>) V||^2 over the factors V of rho, clamped at zero.
 
-    For a diagonal op this is O(dim): it reads only the amplitudes, or
-    the diagonal of the density matrix.  So is an off-axis ``schwinger_j``
-    on a pure state, which is applied from its ladder form.
+    It raises below -1e-10.  H is applied once, from its stored form: for
+    a diagonal op or an off-axis ``schwinger_j`` no dense matrix is built.
     """
-    _check_same_basis(state, op)
-    if isinstance(state, PureState):
-        h_psi = op._apply(state.amplitudes)  # once: it gives the mean and the deviation
-        dev = h_psi - float(np.real(np.vdot(state.amplitudes, h_psi))) * state.amplitudes
-        var = float(np.real(np.vdot(dev, dev)))
-    else:
-        mean = expectation(state, op)
-        if op.weights is not None:
-            var = float(np.real(np.diag(state.matrix)) @ (op.weights - mean) ** 2)
-        else:
-            dev = op.matrix - mean * np.eye(op.basis.dim)
-            var = float(np.real(np.vdot(dev, state.matrix @ dev)))  # tr(rho D^2), D Hermitian
+    pairs = _applied(state, op)  # H V once: it gives the mean and the deviation
+    mean = sum(float(np.real(np.vdot(v, h_v))) for v, h_v in pairs)
+    devs = [h_v - mean * v for v, h_v in pairs]
+    var = sum(float(np.real(np.vdot(dev, dev))) for dev in devs)
     if var < VARIANCE_FLOOR:
         raise ValueError(f"variance {var} below roundoff floor {VARIANCE_FLOOR}")
     return max(var, 0.0)
@@ -121,22 +116,13 @@ def qfi_pure(state: PureState, generator: HermitianOp, nu: int | None = None) ->
     return _report(4.0 * variance(state, generator), generator.label, nu)
 
 
-def _eigenframe(rho: np.ndarray, h: np.ndarray, floor: float):
-    """(vecs, h in rho's eigenbasis, p_k + p_l, p_k - p_l, mask p_k + p_l > floor).
-
-    `vecs` are rho's eigenvectors and p its eigenvalues clipped at zero.
-    `h` is a dense matrix, or a diagonal operator's weight vector, which
-    scales the columns of vecs† instead of multiplying by a dense view.
-    """
-    lam, vecs = np.linalg.eigh(rho)
-    lam = np.clip(lam, 0.0, None)
-    if h.ndim == 2:
-        h = vecs.conj().T @ h @ vecs
-    else:
-        h = (vecs.conj().T * h) @ vecs
-    sums = lam[:, None] + lam[None, :]
-    diffs = lam[:, None] - lam[None, :]
-    return vecs, h, sums, diffs, sums > floor
+def _eigenframes(state: State, op: HermitianOp, floor: float):
+    """Per block that rho and H keep: (block, vecs, H in rho's eigenbasis, p_k + p_l, p_k - p_l,
+    mask p_k + p_l > floor), where vecs and p are rho's eigenpairs there, p clipped at zero."""
+    for block, lam, vecs in state._eigenpairs(op._blocks()):
+        lam = np.clip(lam, 0.0, None)
+        sums, diffs = lam[:, None] + lam[None, :], lam[:, None] - lam[None, :]
+        yield block, vecs, op._apply(vecs, block).conj().T @ vecs, sums, diffs, sums > floor
 
 
 def qfi_mixed(
@@ -158,12 +144,8 @@ def qfi_mixed(
     _check_same_basis(rho, generator)
     floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
     nu = _checked_nu(nu)
-    mat, h = rho.density_matrix(), generator._data()
-    mats = (mat, h) if h.ndim == 2 else (mat,)  # a diagonal H never mixes sectors
     total = 0.0
-    for block in _blocks(rho.basis, *mats):
-        hb = h[block, block] if h.ndim == 2 else h[block]
-        _, hk, sums, diffs, mask = _eigenframe(mat[block, block], hb, floor)
+    for _, _, hk, sums, diffs, mask in _eigenframes(rho, generator, floor):
         weights = np.zeros_like(sums)
         weights[mask] = diffs[mask] ** 2 / sums[mask]
         total += float(np.sum(weights * np.abs(hk) ** 2))
@@ -226,12 +208,10 @@ def jy_variance_closed_form(coeffs: Sequence[complex], n_total: int) -> float:
     return jn_variance_closed_form(coeffs, n_total, math.pi / 2, math.pi / 2)
 
 
-def _evolved(spectrum, rho: np.ndarray, kappa: float) -> list[np.ndarray]:
-    """The diagonal blocks of U rho U†, U = exp(i kappa H), one per block of H's spectrum."""
-    return [
-        u @ rho[block, block] @ u.conj().T
-        for block, u in _exp_i_blocks(spectrum, lambda w: kappa * w)
-    ]
+def _evolved(spectrum, rhos: list[np.ndarray], kappa: float) -> list[np.ndarray]:
+    """U rho U† on each block of H's spectrum, U = exp(i kappa H), from rho's blocks `rhos`."""
+    gates = _exp_i_blocks(spectrum, lambda w: kappa * w)
+    return [u @ r @ u.conj().T for (_, u), r in zip(gates, rhos)]
 
 
 def _outcome_probs(povm: Povm, blocks, rhos: list[np.ndarray]) -> np.ndarray:
@@ -270,10 +250,10 @@ def fisher_information(
     dkappa = _arg("dkappa", dkappa, math.ulp(0.0))  # the least positive float: dkappa > 0
     if method not in ("central", "analytic"):
         raise ValueError(f"unknown derivative method {method!r}")
-    rho = state.density_matrix()
-    h = generator.matrix
-    spectrum = _spectrum(h, _blocks(state.basis, h, rho))
-    blocks = [block for block, _, _ in spectrum]
+    factors = state._factors(generator._blocks())
+    blocks = [block for block, _ in factors]
+    spectrum = _spectrum(generator.matrix, blocks)
+    rho = [_gram(v) for _, v in factors]
 
     def probs(kappa: float) -> np.ndarray:
         return _outcome_probs(povm, blocks, _evolved(spectrum, rho, kappa))
@@ -282,9 +262,9 @@ def fisher_information(
     p0 = _outcome_probs(povm, blocks, rhos)
     if method == "central":
         dp = (probs(kappa0 + dkappa) - probs(kappa0 - dkappa)) / (2 * dkappa)
-    else:
-        drhos = [1j * (h[b, b] @ r - r @ h[b, b]) for b, r in zip(blocks, rhos)]
-        dp = _outcome_probs(povm, blocks, drhos)
+    else:  # i[H, rho] = i (H rho - (H rho)†), as H and rho are Hermitian
+        h_rhos = [generator._apply(r, b) for b, r in zip(blocks, rhos)]
+        dp = _outcome_probs(povm, blocks, [1j * (hr - hr.conj().T) for hr in h_rhos])
 
     fi = 0.0
     for p, d in zip(p0, dp):
@@ -318,13 +298,12 @@ def optimal_povm(
     _check_same_basis(state, generator)
     kappa0 = _arg("kappa0", kappa0)
     floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
-    rho, h = state.density_matrix(), generator.matrix
-    spectrum = _spectrum(h, _blocks(state.basis, h, rho))
-    vectors = np.zeros_like(rho)
-    for (block, _, _), rho_k in zip(spectrum, _evolved(spectrum, rho, kappa0)):
-        vecs, hk, sums, diffs, mask = _eigenframe(rho_k, h[block, block], floor)
+    vectors = np.zeros((state.basis.dim, state.basis.dim), dtype=complex)
+    for block, vecs, hk, sums, diffs, mask in _eigenframes(state, generator, floor):
         # <k|L|l> = 2 <k|i[H, rho]|l> / (p_k + p_l) = -2i (p_k - p_l) H_kl / (p_k + p_l)
         sld = np.zeros_like(hk)
         sld[mask] = -2j * diffs[mask] * hk[mask] / sums[mask]
-        vectors[block, block] = vecs @ np.linalg.eigh(sld)[1]
+        # U rho U† has eigenvectors U vecs and, as H commutes with U, the same SLD there
+        [(_, u)] = _exp_i_blocks(_spectrum(generator.matrix, [block]), lambda w: kappa0 * w)
+        vectors[block, block] = u @ vecs @ np.linalg.eigh(sld)[1]
     return _exact(Povm, vectors=vectors)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    HERMITICITY_ATOL, FockBasis, PureState, _arg, _check_same_basis, _exact, _hermiticity_residual
+    HERMITICITY_ATOL, FockBasis, PureState, _arg, _blocks, _check_same_basis, _exact,
+    _hermiticity_residual, _spectrum,
 )
 
 UNITARITY_ATOL = 1e-10
@@ -71,17 +72,17 @@ class PairAxis:
 
 
 class HermitianOp:
-    """A Hermitian operator tied to a basis.
+    """A Hermitian operator tied to a basis, kept in one of three read-only forms.
 
-    A ``(dim,)`` real array is a diagonal operator, stored as that weight
-    vector over the occupation table (``weights``); a ``(dim, dim)`` array
-    is a dense matrix (``weights`` is None), stored as its exactly Hermitian
-    part (exactly Hermitian input keeps its bits), so a caller's matrix
+    A ``(dim,)`` real array is a diagonal operator, kept as that weight
+    vector (``weights``).  A ``(dim, dim)`` array is kept as its exactly
+    Hermitian part (exactly Hermitian input keeps its bits), so a matrix
     accepted within 1e-12 is Hermitian to the bit from then on.  An
-    off-axis :func:`schwinger_j` is stored in a third form, its ladder form
-    (``weights`` is None too): the diagonal plus the entries of ai† aj and
-    of aj† ai.  ``matrix`` is the dense form, built once on first use for a
-    diagonal or ladder operator.  All are read-only.
+    off-axis :func:`schwinger_j` is kept in its ladder form: the diagonal
+    plus the entries of ai† aj and of aj† ai.  Consumers call
+    :meth:`_apply`, which builds no dense view of a diagonal or ladder
+    operator, and :meth:`_blocks`; ``matrix``, the dense view, is built
+    once on first use.
     """
 
     __slots__ = ("basis", "weights", "_ladder", "_matrix", "label")
@@ -114,37 +115,42 @@ class HermitianOp:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            if self.weights is not None:
-                mat = np.diag(self.weights.astype(complex))
-            else:
-                diag, rows, cols, up, down = self._ladder
-                mat = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
-                np.fill_diagonal(mat, diag)
-                mat[rows, cols] = up
-                mat[cols, rows] = down
+        if self._matrix is None:  # the diagonal, and a ladder form's two scatters
+            diag, rows, cols, up, down = self._ladder or (self.weights, *[np.zeros(0, int)] * 4)
+            mat = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
+            np.fill_diagonal(mat, diag)
+            mat[rows, cols] = up
+            mat[cols, rows] = down
             mat.setflags(write=False)
             self._matrix = mat
         return self._matrix
 
-    def _apply(self, vec: np.ndarray) -> np.ndarray:
-        """op |vec>, from the stored form: no dense view is built for a diagonal or ladder op."""
+    def _apply(self, x: np.ndarray, block: slice = slice(None)) -> np.ndarray:
+        """H x from the stored form, x a vector or column block on the rows of a `block` H keeps."""
+        if self.weights is None and self._ladder is None:
+            return self.matrix[block, block] @ x
+        col = (slice(None),) + (None,) * (x.ndim - 1)  # w[col] * x scales the rows of x
         if self.weights is not None:
-            return self.weights * vec
-        if self._ladder is None:
-            return self.matrix @ vec
+            return self.weights[block][col] * x
         diag, rows, cols, up, down = self._ladder
-        out = diag * vec
+        if block != slice(None):  # cols ascend, and H keeps each sector: its entries are one run
+            lo, hi = np.searchsorted(cols, (block.start, block.stop))
+            rows, cols = rows[lo:hi] - block.start, cols[lo:hi] - block.start
+            up, down = up[lo:hi], down[lo:hi]
+        out = diag[block][col] * x
         # rows are distinct, and so are cols, so a fancy-index += adds every entry
-        out[rows] += up * vec[cols]
-        out[cols] += down * vec[rows]
+        out[rows] += up[col] * x[cols]
+        out[cols] += down[col] * x[rows]
         return out
+
+    def _blocks(self) -> tuple[slice, ...]:
+        """Blocks that H keeps: the sectors, or one whole block if a dense H mixes them."""
+        if self.weights is None and self._ladder is None:
+            return _blocks(self.basis, self.matrix)
+        return self.basis.sectors()
 
     def __repr__(self) -> str:
         return f"HermitianOp({self.label or 'unlabeled'}, basis={self.basis!r})"
-
-    def _data(self) -> np.ndarray:
-        return self.matrix if self.weights is None else self.weights
 
 
 class UnitaryOp:
@@ -231,29 +237,6 @@ def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
         return _exact(HermitianOp, basis=basis, weights=None, _ladder=(diag, rows, cols, up, down),
                       _matrix=None, label=label)
     return HermitianOp(basis, diag, label=label)
-
-
-def _blocks(basis: FockBasis, *mats: np.ndarray) -> tuple[slice, ...]:
-    """The basis's sectors if every matrix is block diagonal over them, else one whole block.
-
-    A matrix with a nonzero outside the sector blocks, such as
-    :func:`quadrature_p` or a coherent state's density matrix, mixes
-    sectors.
-    """
-    sectors = basis.sectors()
-    for m in mats:
-        if np.count_nonzero(m) != sum(np.count_nonzero(m[b, b]) for b in sectors):
-            return (slice(None),)
-    return sectors
-
-
-def _spectrum(h: np.ndarray, blocks) -> tuple:
-    """(block, w, v) per block of a Hermitian H, block diagonal over `blocks`, one eigh each.
-
-    Pair operators pass their basis's sectors, since they conserve number
-    by construction; input from a caller passes its :func:`_blocks`.
-    """
-    return tuple((block, *np.linalg.eigh(h[block, block])) for block in blocks)
 
 
 def _exp_i_blocks(spectrum, phase_of):

@@ -61,10 +61,9 @@ def number_covariance(state: State, modes: Sequence[int] | None = None) -> np.nd
     if modes is None:
         modes = range(basis.num_modes)
     modes = [_arg("mode", m, 0, basis.num_modes - 1, kind=int) for m in modes]
-    if isinstance(state, PureState):
-        probs = np.abs(state.amplitudes) ** 2
-    else:
-        probs = np.clip(np.real(np.diag(state.matrix)), 0.0, None)
+    probs = np.zeros(basis.dim)  # the diagonal of rho = sum V V†: the row sums of |V|^2
+    for block, v in state._factors():
+        probs[block] += np.sum(np.abs(v.reshape(v.shape[0], -1)) ** 2, axis=1)
     occ = basis.occupations()[:, modes].astype(float)
     mean = probs @ occ
     second = occ.T @ (probs[:, None] * occ)

@@ -2,16 +2,16 @@
 
 Nothing here is part of metrolab.  Each function is the plain, dense
 form of a quantity that the library computes another way, or that only
-tests need: a basis vector, a density matrix, sector masses, purity, the
-Uhlmann fidelity of two density matrices and the off-axis J_n summed from
-loop-built ladder matrices.  Tests import it as ``reference``.
+tests need: a basis vector, a density matrix, a partial trace, sector
+masses, purity, the Uhlmann fidelity of two density matrices and the
+off-axis J_n summed from loop-built ladder matrices.  Tests import it as ``reference``.
 """
 
 import math
 
 import numpy as np
 
-from metrolab import MixedState, PureState
+from metrolab import MixedState, PureState, build_basis
 
 
 def basis_state(basis, occ):
@@ -26,9 +26,29 @@ def amplitude(state, occ):
     return complex(state.amplitudes[state.basis.rank(occ)])
 
 
+def density_matrix(state):
+    """rho of either kind of state: |psi><psi| of a pure one, the stored matrix of a mixed one."""
+    if isinstance(state, PureState):
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    return state.matrix
+
+
 def to_mixed(state):
     """A pure state's density matrix |psi><psi|, through the checked constructor."""
-    return MixedState(state.basis, state.density_matrix())
+    return MixedState(state.basis, density_matrix(state))
+
+
+def dense_partial_trace(rho, basis, keep):
+    """The reduced matrix summed entry by entry: rho[i, j] adds to (kept i, kept j) when i and j
+    agree on every traced mode."""
+    occ = basis.occupations()
+    traced = [m for m in range(basis.num_modes) if m not in keep]
+    reduced = build_basis(len(keep), basis.n_total)
+    kept = reduced.rank(occ[:, list(keep)])
+    rows, cols = np.nonzero(np.all(occ[:, None, traced] == occ[None, :, traced], axis=2))
+    out = np.zeros((reduced.dim, reduced.dim), dtype=complex)
+    np.add.at(out, (kept[rows], kept[cols]), rho[rows, cols])
+    return out
 
 
 def sector_masses(state):
@@ -61,7 +81,7 @@ def uhlmann_fidelity(a, b):
     values avoid square-rooting eigenvalue noise, which matters for
     rank-deficient inputs.
     """
-    product = psd_sqrt(a.density_matrix()) @ psd_sqrt(b.density_matrix())
+    product = psd_sqrt(density_matrix(a)) @ psd_sqrt(density_matrix(b))
     singular = np.linalg.svd(product, compute_uv=False)
     return min(max(float(np.sum(singular) ** 2), 0.0), 1.0)
 

@@ -32,6 +32,7 @@ from metrolab import (
     schwinger_j,
     spin_squeeze_unitary,
 )
+from reference import density_matrix
 
 angles = st.floats(-2 * math.pi, 2 * math.pi)
 seeds = st.integers(0, 2**32 - 1)
@@ -89,7 +90,7 @@ def test_optimal_povm_passes_the_povm_constructor(n_total, seed, purity, kappa0)
     rng = np.random.default_rng(seed)
     basis = build_basis(2, n_total)
     pure = random_state(seed, basis, mixed=False)
-    rho = purity * pure.density_matrix() + (1.0 - purity) * np.eye(basis.dim) / basis.dim
+    rho = purity * density_matrix(pure) + (1.0 - purity) * np.eye(basis.dim) / basis.dim
     axis = PairAxis(0, 1, beta=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi))
     povm = optimal_povm(MixedState(basis, rho), schwinger_j(basis, axis), kappa0=kappa0)
     Povm(povm.vectors)

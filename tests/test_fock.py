@@ -20,7 +20,7 @@ from metrolab import (
     rotated_fock,
     with_reference,
 )
-from reference import amplitude, basis_state, purity, to_mixed, uhlmann_fidelity
+from reference import amplitude, basis_state, density_matrix, purity, to_mixed, uhlmann_fidelity
 
 
 def brute_force_dim(num_modes, n_total):
@@ -244,9 +244,15 @@ class TestStates:
         assert np.isclose(amplitude(bigger, (3, 0)), amplitude(state, (3, 0)))
         assert np.isclose(amplitude(bigger, (0, 3)), amplitude(state, (0, 3)))
 
-    def test_density_matrix_is_the_stored_matrix(self):
-        rho = to_mixed(noon(2))
-        assert rho.density_matrix() is rho.matrix
+    def test_factor_rebuilds_the_stored_matrix(self):
+        rho = partial_trace(correlated_three_mode([0.6, 0.0, 0.8], 4), keep={0, 1})
+        rebuilt = np.zeros_like(rho.matrix)
+        for block, vb in rho._factors():
+            rebuilt[block, block] += vb @ vb.conj().T
+        np.testing.assert_allclose(rebuilt, rho.matrix, rtol=0, atol=1e-14)
+        for block, vb in rho._factors(rho.basis.sectors()):
+            rebuilt = vb @ vb.conj().T
+            np.testing.assert_allclose(rebuilt, rho.matrix[block, block], rtol=0, atol=1e-14)
 
 
 class TestFidelity:
@@ -436,13 +442,13 @@ class TestPartialTrace:
                 amp[basis.rank((*occ_a, *occ_b))] = a.amplitudes[ka] * b.amplitudes[kb]
         product = PureState(basis, amp, normalize=True)
         reduced = partial_trace(product, keep={0, 1})
-        expected = a.expand_cutoff(product.basis.n_total).density_matrix()
+        expected = density_matrix(a.expand_cutoff(product.basis.n_total))
         np.testing.assert_allclose(reduced.matrix, expected, atol=1e-12)
 
     def test_keep_all_modes_is_density(self):
         state = noon(2)
         full = partial_trace(state, keep={0, 1})
-        np.testing.assert_allclose(full.matrix, state.density_matrix(), atol=1e-14)
+        np.testing.assert_allclose(full.matrix, density_matrix(state), atol=1e-14)
 
     def test_mixed_input(self):
         rho = partial_trace(correlated_three_mode([1 / math.sqrt(2), 0, 1 / math.sqrt(2)], 4), keep={0, 1})

@@ -35,7 +35,7 @@ from metrolab import (
 )
 from metrolab import metrology
 from metrolab.metrology import _outcome_probs
-from reference import basis_state, to_mixed, uhlmann_fidelity
+from reference import basis_state, density_matrix, to_mixed, uhlmann_fidelity
 
 Z_AXIS = dict(beta=0.0, phi=0.0)
 
@@ -323,7 +323,7 @@ class TestFisherInformation:
             gen = schwinger_j(state.basis, random_axis(rng))
             if case % 2:  # alternate pure and genuinely mixed probes
                 dim = state.basis.dim
-                blend = 0.8 * state.density_matrix() + 0.2 * np.eye(dim) / dim
+                blend = 0.8 * density_matrix(state) + 0.2 * np.eye(dim) / dim
                 probe = MixedState(state.basis, blend)
                 qfi = qfi_mixed(probe, gen).qfi
             else:
@@ -349,7 +349,7 @@ class TestFisherInformation:
         axis = PairAxis(0, 1, **Z_AXIS) if z_axis else random_axis(rng)
         gen = schwinger_j(state.basis, axis)
         dim = state.basis.dim
-        blend = purity * state.density_matrix() + (1.0 - purity) * np.eye(dim) / dim
+        blend = purity * density_matrix(state) + (1.0 - purity) * np.eye(dim) / dim
         probe = MixedState(state.basis, blend)
         povm = random_projective_povm(rng, dim)
         mixed_fi = fisher_information(probe, gen, povm, kappa0=kappa0)
@@ -491,7 +491,7 @@ def cfi_cases(draw):
         gen = quadrature_p(pure.basis, draw(st.integers(0, 1)))
     dim = pure.basis.dim
     purity = draw(st.floats(0.5, 1.0))
-    blend = purity * pure.density_matrix() + (1.0 - purity) * np.eye(dim) / dim
+    blend = purity * density_matrix(pure) + (1.0 - purity) * np.eye(dim) / dim
     return MixedState(pure.basis, blend), gen, False
 
 
@@ -545,7 +545,7 @@ class TestSectorBlocks:
 
 def whole_matrix_qfi(rho, generator, floor=1e-12):
     """The SLD sum from one eigh of the whole density matrix: qfi_mixed before it ran by sector."""
-    lam, vecs = np.linalg.eigh(rho.density_matrix())
+    lam, vecs = np.linalg.eigh(rho.matrix)
     lam = np.clip(lam, 0.0, None)
     h = generator.weights
     h = vecs.conj().T @ generator.matrix @ vecs if h is None else (vecs.conj().T * h) @ vecs

@@ -33,7 +33,7 @@ from metrolab import (
 from metrolab.operators import (
     _AXIS_TOL, _blocks, _exp_i, _ladder_entries, _spectrum
 )
-from reference import basis_state, dense_jn, loop_hopping, sector_masses
+from reference import basis_state, density_matrix, dense_jn, loop_hopping, sector_masses
 
 def total_number(basis):
     return HermitianOp(basis, basis.occupations().sum(axis=1).astype(float))
@@ -595,7 +595,7 @@ class TestDiagonalForm:
         diag, dense = np.diag(weights), HermitianOp(basis, np.diag(weights))
         op = HermitianOp(basis, weights)
         state = random_mixed(basis, seed + 1) if mixed else random_state(basis, seed + 1)
-        rho = state.matrix if mixed else state.density_matrix()
+        rho = state.matrix if mixed else density_matrix(state)
         mean = float(np.real(np.trace(rho @ diag)))
         shifted = diag - mean * np.eye(basis.dim)
         var = float(np.real(np.trace(rho @ shifted @ shifted)))

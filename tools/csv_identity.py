@@ -47,7 +47,10 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # off-axis J_n build is also run on 400 oracle axes.  The correlated
 # lossy sweep at n_total 14 runs over 4 kappas and over the default 9;
 # the latter wrote different bytes at 1 and at 2 BLAS threads before the
-# sweep ran on three modes.  Two runs sit at the argument caps:
+# sweep ran on three modes.  The NOON lossy sweep at n_total 15 with the
+# loss on mode 1 is the largest lossy config that also validates at
+# 438f17d (dim 816, sector blocks up to 136), so the largest blocks of
+# the mixed-state QFI are compared too.  Two runs sit at the argument caps:
 # `rotated_fock` at N = 400 and `coherent_cutoff` at alpha = 6.  The
 # cat-vs-noon alphas 1.0, 1.01 and 1.02 all take cutoff 14, so each
 # number operator after the first is one on a basis already seen.
@@ -84,6 +87,10 @@ CONFIGS.update({
     "lossy-sweep-correlated-n14": {
         "scenario": "lossy-sweep",
         "params": {"n_total": 14, "probe": "correlated"},
+    },
+    "lossy-sweep-noon-n15-mode1": {
+        "scenario": "lossy-sweep",
+        "params": {"n_total": 15, "probe": "noon", "probe_mode": 1},
     },
     "cv-convergence-n400": {
         "scenario": "cv-convergence",
