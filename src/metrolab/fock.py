@@ -7,8 +7,9 @@ lexicographically within each fixed-total sector.  The fixed-``n_total``
 sector is therefore the contiguous tail block of the index range, and
 number-conserving operators are block diagonal in this ordering.
 
-Everything is dense and immutable after construction, but a mixed state
-keeps its sector blocks and one eigendecomposition per block once found.
+Everything is immutable after construction, but a mixed state keeps its
+eigenpairs once found.  A mixed state is a dense matrix, or the factor of
+a sum of pure branches, which never builds a dense matrix unless read.
 Matrix eigendecompositions stay practical up to dimension ~4096.
 """
 
@@ -242,9 +243,17 @@ class PureState:
 
 
 class MixedState:
-    """Hermitian, unit-trace, PSD density matrix over a :class:`FockBasis` (all checked)."""
+    """Hermitian, unit-trace, PSD density matrix over a :class:`FockBasis`, in one of two storages.
 
-    __slots__ = ("basis", "matrix", "_eig")
+    The constructor takes a dense matrix, checks it and keeps it.  A sum
+    of pure branches, as :func:`metrolab.loss_channel` gives, is kept as
+    its factor instead: per block, the support rows and V with rho = V V†
+    there, one column per branch (see :func:`_from_columns`).  Consumers
+    call :meth:`_factors` and :meth:`_eigenpairs`; ``matrix``, the dense
+    view, is built once on first use, cached and read-only.
+    """
+
+    __slots__ = ("basis", "_matrix", "_factor", "_eig")
 
     def __init__(self, basis: FockBasis, matrix):
         mat = np.array(matrix, dtype=complex)
@@ -261,23 +270,77 @@ class MixedState:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
         mat.setflags(write=False)
         self.basis = basis
-        self.matrix = mat
+        self._matrix = mat
+        self._factor = None
+        self._eig = {}
 
     def __repr__(self) -> str:
         return f"MixedState(basis={self.basis!r})"
 
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:  # each block's V V† on its support rows
+            mat = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
+            for _, rows, v in self._factor:
+                mat[np.ix_(rows, rows)] = _gram(v)
+            mat.setflags(write=False)
+            self._matrix = mat
+        return self._matrix
+
+    def _stored(self, blocks) -> tuple:
+        """(block, rows, V) per block of the coarser of `blocks` and the factor's.
+
+        Sector blocks merge into one whole block by stacking their
+        disjoint rows and their columns, V block diagonal.
+        """
+        if len(blocks) >= len(self._factor):
+            return self._factor
+        rows = np.concatenate([r for _, r, _ in self._factor])
+        merged = np.zeros((len(rows), sum(v.shape[1] for _, _, v in self._factor)), dtype=complex)
+        i = j = 0
+        for _, r, v in self._factor:
+            merged[i : i + len(r), j : j + v.shape[1]] = v
+            i, j = i + len(r), j + v.shape[1]
+        return ((slice(None), rows, merged),)
+
     def _eigenpairs(self, blocks) -> tuple:
-        """(block, p, vecs) per block of the coarser of `blocks` and rho's; rho's own are kept."""
-        if len(blocks) < len(self.basis.sectors()):  # for an operator that mixes sectors
-            return _spectrum(self.matrix, blocks)
-        if getattr(self, "_eig", None) is None:
-            self._eig = _spectrum(self.matrix, _blocks(self.basis, self.matrix))
-        return self._eig
+        """(block, p, vecs) per block of the coarser of `blocks` and rho's; each kind is kept.
+
+        A dense rho finds its own blocks (:func:`_blocks`) and runs one eigh
+        per block.  A factor runs one eigh of the r x r Gram matrix V†V per
+        block, (p, u), and keeps the p above its roundoff, r eps max(p), so
+        that each vecs = V u / sqrt(p), on the block's rows, is a unit vector
+        orthogonal to the others: a thin frame of rho's support.
+        """
+        whole = len(blocks) < len(self.basis.sectors())  # for an operator that mixes sectors
+        if whole not in self._eig:
+            if self._factor is None:
+                on = blocks if whole else _blocks(self.basis, self.matrix)
+                self._eig[whole] = _spectrum(self.matrix, on)
+            else:
+                pairs = []
+                for block, rows, v in self._stored(blocks):
+                    p, u = np.linalg.eigh(v.conj().T @ v) if v.size else (np.zeros(0), v)
+                    live = p > len(p) * np.finfo(float).eps * p.max(initial=0.0)
+                    p, vu = p[live], v @ u[:, live]
+                    # each part divided on its own: a complex division would round twice
+                    vecs = vu.real / np.sqrt(p) + 1j * (vu.imag / np.sqrt(p))
+                    pairs.append((block, p, _on_block(self.basis, block, rows, vecs)))
+                self._eig[whole] = tuple(pairs)
+        return self._eig[whole]
 
     def _factors(self, blocks=None) -> tuple:
-        """(block, V) per :meth:`_eigenpairs` block: rho = V V† there, V = vecs sqrt(p > 0)."""
-        pairs = self._eigenpairs(blocks or self.basis.sectors())
-        return tuple((block, vecs[:, p > 0] * np.sqrt(p[p > 0])) for block, p, vecs in pairs)
+        """(block, V) per block, rho = V V† there: the stored factor, or vecs sqrt(p > 0).
+
+        A factor gives its own blocks, merged into one whole block for
+        coarser `blocks`; a dense rho gives its :meth:`_eigenpairs` blocks.
+        """
+        blocks = blocks or self.basis.sectors()
+        if self._factor is None:
+            pairs = self._eigenpairs(blocks)
+            return tuple((block, vecs[:, p > 0] * np.sqrt(p[p > 0])) for block, p, vecs in pairs)
+        return tuple((block, _on_block(self.basis, block, rows, v))
+                     for block, rows, v in self._stored(blocks))
 
 
 State = PureState | MixedState
@@ -297,6 +360,45 @@ def _exact(cls, **fields):
                 arr.setflags(write=False)
         setattr(obj, name, value)
     return obj
+
+
+def _from_columns(basis: FockBasis, columns) -> MixedState:
+    """rho = sum_c v_c v_c† from sparse columns (indices, values), kept as its factor; unchecked.
+
+    The blocks are the sectors when every column lies in one sector, and
+    otherwise one whole block, as for :meth:`PureState._factors`.  Each
+    block keeps its sorted support rows and V there, one column per input
+    column in the block.  Every column must have at least one index.
+    """
+    sectors = basis.sectors()
+    starts = [block.start for block in sectors]
+    # sectors are contiguous, so a column's first and last index bound the sectors it meets
+    ends = [np.searchsorted(starts, [idx.min(), idx.max()], side="right") - 1 for idx, _ in columns]
+    if all(first == last for first, last in ends):
+        groups = [[] for _ in sectors]
+        for column, (home, _) in zip(columns, ends):
+            groups[home].append(column)
+        blocks = list(zip(sectors, groups))
+    else:
+        blocks = [(slice(None), list(columns))]
+    factor = []
+    for block, cols in blocks:
+        rows = np.unique(np.concatenate([idx for idx, _ in cols] or [np.zeros(0, np.int64)]))
+        v = np.zeros((len(rows), len(cols)), dtype=complex)
+        for c, (idx, values) in enumerate(cols):
+            v[np.searchsorted(rows, idx), c] = values
+        rows.setflags(write=False)
+        v.setflags(write=False)
+        factor.append((block, rows, v))
+    return _exact(MixedState, basis=basis, _matrix=None, _factor=tuple(factor), _eig={})
+
+
+def _on_block(basis: FockBasis, block: slice, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`v`, given on the support `rows`, on every row of `block`: zero elsewhere."""
+    start, stop, _ = block.indices(basis.dim)
+    out = np.zeros((stop - start, v.shape[1]), dtype=complex)
+    out[rows - start] = v
+    return out
 
 
 def _blocks(basis: FockBasis, mat: np.ndarray) -> tuple[slice, ...]:
@@ -361,4 +463,4 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
             hit = live & (traced_key[rows] == key)
             out[np.ix_(kept_rank[rows[hit]], kept_rank[rows[hit]])] += _gram(v[hit])
     out = (out + out.conj().T) / 2
-    return _exact(MixedState, basis=reduced, matrix=out)
+    return _exact(MixedState, basis=reduced, _matrix=out, _factor=None, _eig={})

@@ -19,7 +19,7 @@ import numpy as np
 from .fock import (
     PureState, State, _arg, _check_same_basis, _checked_profile, _exact, _gram
 )
-from .operators import HermitianOp, _exp_i_blocks, _spectrum, _unitarity_residual
+from .operators import HermitianOp, _exp_i_blocks, _unitarity_residual
 
 VARIANCE_FLOOR = -1e-10
 PROB_FLOOR = 1e-12
@@ -116,40 +116,41 @@ def qfi_pure(state: PureState, generator: HermitianOp, nu: int | None = None) ->
     return _report(4.0 * variance(state, generator), generator.label, nu)
 
 
-def _eigenframes(state: State, op: HermitianOp, floor: float):
-    """Per block that rho and H keep: (block, vecs, H in rho's eigenbasis, p_k + p_l, p_k - p_l,
-    mask p_k + p_l > floor), where vecs and p are rho's eigenpairs there, p clipped at zero."""
-    for block, lam, vecs in state._eigenpairs(op._blocks()):
-        lam = np.clip(lam, 0.0, None)
-        sums, diffs = lam[:, None] + lam[None, :], lam[:, None] - lam[None, :]
-        yield block, vecs, op._apply(vecs, block).conj().T @ vecs, sums, diffs, sums > floor
-
-
 def qfi_mixed(
     rho: State,
     generator: HermitianOp,
     eigenvalue_floor: float = 1e-12,
     nu: int | None = None,
 ) -> QFIReport:
-    """Exact mixed-state QFI from the SLD spectral formula.
+    """Exact mixed-state QFI from the SLD spectral formula, on rho's support alone.
 
-    Q = 2 sum_{k,l} |<k|H|l>|^2 (p_k - p_l)^2 / (p_k + p_l) over
-    eigenpairs of rho with p_k + p_l > eigenvalue_floor.  The formula
-    holds at every rank, so `rho` may be either kind of state; it
-    reduces to 4 Var(H) on rank-1 input.  When rho and H are block
-    diagonal over the total-number sectors, Q is the sum of each
-    sector's term, one eigendecomposition each; a sector-mixing input
-    is one whole-matrix block.
+    Over the eigenpairs of rho with p_k > eigenvalue_floor, the support S,
+    Q = 4 sum_k p_k <k|H^2|k> - 8 sum_{k,l} p_k p_l / (p_k + p_l) |H_kl|^2
+    (Liu, Yuan, Lu & Wang, J. Phys. A 53, 023001, 2020).  It is summed as
+    2 sum_{k,l} (p_k - p_l)^2 / (p_k + p_l) |H_kl|^2 + 4 sum_k p_k ||P H|k>||^2,
+    P the projector off S, the same sum with no cancellation between two
+    large terms, so no kernel vector of rho is needed.  The formula holds
+    at every rank, so `rho` may be either kind of state; it reduces to
+    4 Var(H) on rank-1 input.  When rho and H are block diagonal over the
+    total-number sectors, Q is the sum of each sector's term; a
+    sector-mixing input is one whole-matrix block.
     """
     _check_same_basis(rho, generator)
     floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
     nu = _checked_nu(nu)
     total = 0.0
-    for _, _, hk, sums, diffs, mask in _eigenframes(rho, generator, floor):
-        weights = np.zeros_like(sums)
-        weights[mask] = diffs[mask] ** 2 / sums[mask]
-        total += float(np.sum(weights * np.abs(hk) ** 2))
-    return _report(2.0 * total, generator.label, nu)
+    for block, p, vecs in rho._eigenpairs(generator._blocks()):
+        support = p > floor
+        if not support.any():
+            continue
+        p, vecs = p[support], vecs[:, support]
+        h_vecs = generator._apply(vecs, block)
+        hk = vecs.conj().T @ h_vecs  # <k|H|l>
+        off = h_vecs - vecs @ hk  # P H|l>
+        sums, diffs = p[:, None] + p[None, :], p[:, None] - p[None, :]
+        total += 2.0 * float(np.sum(diffs**2 / sums * np.abs(hk) ** 2))
+        total += 4.0 * float(p @ np.real(np.einsum("ij,ij->j", off.conj(), off)))
+    return _report(total, generator.label, nu)
 
 
 def jn_variance_closed_form(
@@ -252,7 +253,7 @@ def fisher_information(
         raise ValueError(f"unknown derivative method {method!r}")
     factors = state._factors(generator._blocks())
     blocks = [block for block, _ in factors]
-    spectrum = _spectrum(generator.matrix, blocks)
+    spectrum = generator._eigenpairs(blocks)
     rho = [_gram(v) for _, v in factors]
 
     def probs(kappa: float) -> np.ndarray:
@@ -299,11 +300,21 @@ def optimal_povm(
     kappa0 = _arg("kappa0", kappa0)
     floor = _arg("eigenvalue_floor", eigenvalue_floor, 0.0)
     vectors = np.zeros((state.basis.dim, state.basis.dim), dtype=complex)
-    for block, vecs, hk, sums, diffs, mask in _eigenframes(state, generator, floor):
-        # <k|L|l> = 2 <k|i[H, rho]|l> / (p_k + p_l) = -2i (p_k - p_l) H_kl / (p_k + p_l)
+    for block, p, vecs in state._eigenpairs(generator._blocks()):
+        p = np.clip(p, 0.0, None)
+        if vecs.shape[1] < vecs.shape[0]:  # a thin frame: a kernel basis completes it, at p = 0
+            support = p > floor
+            kernel = np.linalg.qr(vecs[:, support], mode="complete")[0][:, support.sum():]
+            vecs = np.hstack([vecs[:, support], kernel])
+            p = np.concatenate([p[support], np.zeros(kernel.shape[1])])
+        hk = generator._apply(vecs, block).conj().T @ vecs
+        sums, diffs = p[:, None] + p[None, :], p[:, None] - p[None, :]
+        mask = sums > floor
+        # <k|L|l> = 2 <k|i[H, rho]|l> / (p_k + p_l) = -2i (p_k - p_l) H_kl / (p_k + p_l):
+        # -2i H_kl from support k to kernel l, and 0 within the kernel
         sld = np.zeros_like(hk)
         sld[mask] = -2j * diffs[mask] * hk[mask] / sums[mask]
         # U rho U† has eigenvectors U vecs and, as H commutes with U, the same SLD there
-        [(_, u)] = _exp_i_blocks(_spectrum(generator.matrix, [block]), lambda w: kappa0 * w)
+        [(_, u)] = _exp_i_blocks(generator._eigenpairs([block]), lambda w: kappa0 * w)
         vectors[block, block] = u @ vecs @ np.linalg.eigh(sld)[1]
     return _exact(Povm, vectors=vectors)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .fock import (
     HERMITICITY_ATOL, FockBasis, PureState, _arg, _blocks, _check_same_basis, _exact,
-    _hermiticity_residual, _spectrum,
+    _hermiticity_residual,
 )
 
 UNITARITY_ATOL = 1e-10
@@ -81,11 +81,12 @@ class HermitianOp:
     off-axis :func:`schwinger_j` is kept in its ladder form: the diagonal
     plus the entries of ai† aj and of aj† ai.  Consumers call
     :meth:`_apply`, which builds no dense view of a diagonal or ladder
-    operator, and :meth:`_blocks`; ``matrix``, the dense view, is built
-    once on first use.
+    operator, :meth:`_blocks` and :meth:`_eigenpairs`, whose spectrum is
+    kept per block once found; ``matrix``, the dense view, is built once
+    on first use.
     """
 
-    __slots__ = ("basis", "weights", "_ladder", "_matrix", "label")
+    __slots__ = ("basis", "weights", "_ladder", "_matrix", "_eig", "label")
 
     def __init__(self, basis: FockBasis, matrix, label: str = ""):
         arr = np.asarray(matrix)
@@ -111,6 +112,7 @@ class HermitianOp:
         self.weights = weights
         self._ladder = None
         self._matrix = mat
+        self._eig = {}
         self.label = label
 
     @property
@@ -148,6 +150,13 @@ class HermitianOp:
         if self.weights is None and self._ladder is None:
             return _blocks(self.basis, self.matrix)
         return self.basis.sectors()
+
+    def _eigenpairs(self, blocks) -> tuple:
+        """(block, w, v) per block of `blocks` that H keeps, one eigh each, kept once found."""
+        for block in blocks:
+            if (block.start, block.stop) not in self._eig:
+                self._eig[block.start, block.stop] = np.linalg.eigh(self.matrix[block, block])
+        return tuple((block, *self._eig[block.start, block.stop]) for block in blocks)
 
     def __repr__(self) -> str:
         return f"HermitianOp({self.label or 'unlabeled'}, basis={self.basis!r})"
@@ -235,18 +244,18 @@ def schwinger_j(basis: FockBasis, pair: PairAxis) -> HermitianOp:
         up = (nx / 2.0) * amp + ((ny / 2.0) * 1j) * -amp
         down = (nx / 2.0) * amp + ((ny / 2.0) * 1j) * amp
         return _exact(HermitianOp, basis=basis, weights=None, _ladder=(diag, rows, cols, up, down),
-                      _matrix=None, label=label)
+                      _matrix=None, _eig={}, label=label)
     return HermitianOp(basis, diag, label=label)
 
 
 def _exp_i_blocks(spectrum, phase_of):
-    """(block, exp(i * phase_of(H)) on that block) for each block of H's :func:`_spectrum`."""
+    """(block, exp(i * phase_of(H)) on that block) for each block of H's spectrum (block, w, v)."""
     for block, w, v in spectrum:
         yield block, (v * np.exp(1j * phase_of(w))) @ v.conj().T
 
 
 def _exp_i(basis: FockBasis, spectrum, phase_of) -> np.ndarray:
-    """exp(i * phase_of(H)) assembled from H's :func:`_spectrum`."""
+    """exp(i * phase_of(H)) assembled from H's spectrum, as :func:`_exp_i_blocks` reads it."""
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     for block, u in _exp_i_blocks(spectrum, phase_of):
         out[block, block] = u
@@ -254,9 +263,9 @@ def _exp_i(basis: FockBasis, spectrum, phase_of) -> np.ndarray:
 
 
 def _pair_spectrum(basis: FockBasis, pair: PairAxis) -> tuple[str, tuple]:
-    """(label, spectrum) of J_n on `pair`, one eigh per sector; the dense J_n is not kept."""
+    """(label, spectrum) of J_n on `pair`, one eigh per sector."""
     h = schwinger_j(basis, pair)
-    return h.label, _spectrum(h.matrix, basis.sectors())
+    return h.label, h._eigenpairs(basis.sectors())
 
 
 def rotation_unitary(basis: FockBasis, pair: PairAxis, angle: float) -> UnitaryOp:
@@ -286,7 +295,7 @@ def quadrature_p(basis: FockBasis, mode: int) -> HermitianOp:
     """
     a = annihilation(basis, mode)
     mat = 0.5j * (a.conj().T - a)
-    return _exact(HermitianOp, basis=basis, weights=None, _ladder=None, _matrix=mat,
+    return _exact(HermitianOp, basis=basis, weights=None, _ladder=None, _matrix=mat, _eig={},
                   label=f"p[{mode}]")
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import MixedState, PureState, State, _arg, _exact, partial_trace
+from .fock import MixedState, PureState, State, _arg, _from_columns, partial_trace
 from .operators import PairAxis, rotation_unitary, weighted_number
 from .metrology import variance
 
@@ -155,8 +155,10 @@ def loss_channel(state: PureState, mode: int, kappa: float) -> MixedState:
     on `mode`, for l = 0..max n.  The phase i^l is global to each K_l and
     drops out of rho = sum_l K_l |psi><psi| K_l†.  Distinct occupied
     configurations stay distinct after losing l photons, so each K_l|psi>
-    is added as one outer product on the indices it reaches.  The channel
-    is trace preserving by construction, so the result is not re-checked.
+    is one column of rho's factor, on the indices it reaches: at most
+    N + 1 columns, and no dense matrix.  A fixed-N input puts each
+    column in its own sector.  The channel is trace preserving by
+    construction, so the result is not re-checked.
     """
     if not isinstance(state, PureState):
         raise TypeError("loss_channel expects a PureState")
@@ -168,16 +170,17 @@ def loss_channel(state: PureState, mode: int, kappa: float) -> MixedState:
     occ = basis.occupations()[occupied]
     amp = state.amplitudes[occupied]
     n = occ[:, mode]
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
+    targets, values = [], []
     for lost in range(int(n.max()) + 1):
         hit = n >= lost
         target = occ[hit]
         target[:, mode] -= lost
-        idx = basis.rank(target)
         kraus = [math.sqrt(math.comb(k, lost)) * cos ** (k - lost) * sin**lost for k in n[hit]]
-        v = amp[hit] * kraus
-        rho[np.ix_(idx, idx)] += np.outer(v, v.conj())
-    return _exact(MixedState, basis=basis, matrix=rho)
+        targets.append(target)
+        values.append(amp[hit] * kraus)
+    # one rank for every branch, split back by branch
+    idx = np.split(basis.rank(np.concatenate(targets)), np.cumsum([len(v) for v in values[:-1]]))
+    return _from_columns(basis, list(zip(idx, values)))
 
 
 def sweep_qfi_vs_zeta(state: State, zetas: Sequence[float]) -> np.ndarray:

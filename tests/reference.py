@@ -3,8 +3,10 @@
 Nothing here is part of metrolab.  Each function is the plain, dense
 form of a quantity that the library computes another way, or that only
 tests need: a basis vector, a density matrix, a partial trace, sector
-masses, purity, the Uhlmann fidelity of two density matrices and the
-off-axis J_n summed from loop-built ladder matrices.  Tests import it as ``reference``.
+masses, purity, the Uhlmann fidelity of two density matrices, the
+off-axis J_n summed from loop-built ladder matrices and the loss
+channel's density matrix summed from outer products.  Tests import it as
+``reference``.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from metrolab import MixedState, PureState, build_basis
+from metrolab.fock import _from_columns
 
 
 def basis_state(basis, occ):
@@ -36,6 +39,37 @@ def density_matrix(state):
 def to_mixed(state):
     """A pure state's density matrix |psi><psi|, through the checked constructor."""
     return MixedState(state.basis, density_matrix(state))
+
+
+def to_factor(state, angle=0.6):
+    """A pure state's |psi><psi| in factor form, with two columns: cos(angle) psi and
+    sin(angle) psi.  Their Gram matrix has rank one, so the factor's second eigenvalue is 0
+    up to roundoff."""
+    occupied = np.flatnonzero(state.amplitudes)
+    values = state.amplitudes[occupied]
+    columns = [(occupied, math.cos(angle) * values), (occupied, math.sin(angle) * values)]
+    return _from_columns(state.basis, columns)
+
+
+def dense_loss_channel(state, mode, kappa):
+    """The loss channel's rho, each Kraus branch K_l|psi> added as one outer product on the
+    indices it reaches: the dense build that loss_channel's factor replaced."""
+    basis = state.basis
+    cos, sin = math.cos(kappa / 2), math.sin(kappa / 2)
+    occupied = np.flatnonzero(state.amplitudes)
+    occ = basis.occupations()[occupied]
+    amp = state.amplitudes[occupied]
+    n = occ[:, mode]
+    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for lost in range(int(n.max()) + 1):
+        hit = n >= lost
+        target = occ[hit]
+        target[:, mode] -= lost
+        idx = basis.rank(target)
+        kraus = [math.sqrt(math.comb(k, lost)) * cos ** (k - lost) * sin**lost for k in n[hit]]
+        v = amp[hit] * kraus
+        rho[np.ix_(idx, idx)] += np.outer(v, v.conj())
+    return rho
 
 
 def dense_partial_trace(rho, basis, keep):

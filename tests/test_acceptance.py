@@ -8,6 +8,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -370,3 +371,36 @@ def test_c16_variance_oracle_at_its_cap_budget(tmp_path, monkeypatch):
     assert max(float(row.split(",")[-1]) for row in rows) <= 1e-10
     assert elapsed < 8.0, f"variance-oracle at its cap took {elapsed:.1f}s"
     report(16, "variance-oracle at its cap (10 000 cases, n_max=60), within 1e-10, under 8 s")
+
+
+def test_c17_lossy_sweep_at_n_total_60_budget(tmp_path):
+    """Both probes at n_total=60 (3-mode dim 39711; one dense rho would take 25 GB), 9 kappas:
+    under 2 s each and a tracemalloc peak under 20 MB, the basis built afresh each time."""
+    for probe in ("correlated", "noon"):
+        doc = json.dumps({"scenario": "lossy-sweep", "params": {"n_total": 60, "probe": probe}})
+        config = validate_config(doc)
+        config.output_path = str(tmp_path / f"{probe}.csv")
+        build_basis.cache_clear()
+        start = time.perf_counter()
+        assert run_scenario(config, stream=io.StringIO()) == 0
+        elapsed = time.perf_counter() - start
+        build_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            assert run_scenario(config, stream=io.StringIO()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = (tmp_path / f"{probe}.csv").read_text(encoding="utf-8").splitlines()[2:]
+        kappas, qfis = zip(*((float(k), float(q)) for k, q in (row.split(",") for row in rows)))
+        assert len(qfis) == 9
+        assert all(b <= a + 1e-12 * a for a, b in zip(qfis, qfis[1:]))
+        if probe == "noon":  # loss on mode 0: N^2 eta^N / (2 (1 + eta^N)), eta^N = cos^2N(kappa/2)
+            for kappa, qfi in zip(kappas, qfis):
+                eta_n = math.cos(kappa / 2) ** 120
+                expected = 3600 * eta_n / (2 * (1 + eta_n))
+                assert abs(qfi - expected) <= 1e-12 * max(1.0, expected)
+        assert elapsed < 2.0, f"{probe} lossy-sweep at n_total=60 took {elapsed:.1f}s"
+        assert peak < 20e6, f"{probe} lossy-sweep at n_total=60 peaked at {peak / 1e6:.1f} MB"
+    report(17, "lossy-sweep at n_total=60 (3-mode dim 39711), both probes, 9 kappas, "
+               "under 2 s and 20 MB each")

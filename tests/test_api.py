@@ -16,7 +16,9 @@ import importlib.util
 import inspect
 import os
 import re
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import metrolab
@@ -82,6 +84,17 @@ def test_the_measure_chain_runs_and_passes_its_gate():
     op = workloads.prepare(min(block, key=lambda op: op["n_total"]), "")
     result = workloads.execute(op, metrolab, None)
     assert workloads.check(op, result, "", "") == (1, None)
+
+
+def test_a_measure_block_decomposes_each_sector_four_times():
+    """One eigh per sector of the gate's J_x, of rho, of J_n and of the SLD: fisher_information
+    reads the J_n spectrum that optimal_povm kept on the generator."""
+    workloads = load_perfbench("workloads")
+    block = workloads.make_blocks("measure", 0, 1)[0]
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        for op in block:
+            workloads.execute(workloads.prepare(op, ""), metrolab, None)
+    assert eigh.call_count == 4 * sum(op["n_total"] + 1 for op in block) == 120
 
 
 @pytest.mark.parametrize("cls_name,attr", MEMBERS, ids=[f"{c}.{a}" for c, a in MEMBERS])

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from metrolab import (
+    HermitianOp,
+    MixedState,
     PairAxis,
     correlated_three_mode,
     general_probe,
@@ -89,7 +91,7 @@ class TestValidateConfig:
             validate_config(json.dumps(doc))
 
     def test_dim_cap_env_override(self, monkeypatch):
-        doc = {"scenario": "lossy-sweep", "params": {"n_total": 12}}
+        doc = {"scenario": "zeta-optimize", "params": {"n_total": 12}}
         validate_config(json.dumps(doc))  # C(15,3) = 455 fits the default cap
         for raw in ("100", "lots", "-5", "0"):
             monkeypatch.setenv("METROLAB_MAX_DIM", raw)
@@ -100,7 +102,7 @@ class TestValidateConfig:
         validate_config(json.dumps(doc))
 
     def test_lossy_sweep_validates_and_runs_at_n_total_16(self, tmp_path, monkeypatch):
-        """The cap counts the 3-mode basis the scenario builds: C(19,3) = 969."""
+        """n_total=16 (3-mode dim 969) validates and runs with the default cap."""
         monkeypatch.delenv("METROLAB_MAX_DIM", raising=False)
         config = validate_config(json.dumps({"scenario": "lossy-sweep", "params": {"n_total": 16}}))
         config.output_path = str(tmp_path / "lossy.csv")
@@ -108,17 +110,16 @@ class TestValidateConfig:
         _, rows = read_rows(tmp_path / "lossy.csv")
         assert len(rows) == 9
 
-    def test_lossy_sweep_refuses_n_total_28_by_its_3_mode_dim(self, monkeypatch):
-        monkeypatch.delenv("METROLAB_MAX_DIM", raising=False)
-        doc = {"scenario": "lossy-sweep", "params": {"n_total": 27}}
-        validate_config(json.dumps(doc))  # C(30,3) = 4060, the largest that fits
-        doc["params"]["n_total"] = 28
+    def test_lossy_sweep_has_no_dimension_check_and_stops_at_n_total_60(self, monkeypatch):
+        """It stores vectors and a factor of at most N + 1 columns, never a dim x dim matrix,
+        so no dimension cap applies: only the range of n_total does."""
+        monkeypatch.setenv("METROLAB_MAX_DIM", "1")
+        doc = {"scenario": "lossy-sweep", "params": {"n_total": 60}}
+        validate_config(json.dumps(doc))  # C(63,3) = 39711
+        doc["params"]["n_total"] = 61
         with pytest.raises(ConfigError) as err:
             validate_config(json.dumps(doc))
-        assert err.value.errors == [
-            "basis dimension 4495 (3 modes, cutoff 28) exceeds the cap 4096 "
-            "(override with METROLAB_MAX_DIM)"
-        ]
+        assert err.value.errors == ["params.n_total: must be in [1, 60], got 61"]
 
     def test_defaults(self):
         # The parameters each scenario runs with when the config gives none;
@@ -251,10 +252,13 @@ class TestScenarios:
         np.testing.assert_array_equal(np.array(rows, dtype=float), expected)
         assert "zeta_opt = " in capsys.readouterr().out
 
-    def test_lossy_sweep_runs_one_eigh_per_sector_per_kappa(self, tmp_path):
-        """The 3-mode path: no 4-mode basis, gate or partial trace, one eigh per sector of rho."""
-        n_total, kappas = 6, [0.0, 0.4, 1.1, 2.5]
-        doc = {"scenario": "lossy-sweep", "params": {"n_total": n_total, "kappas": kappas}}
+    @pytest.mark.parametrize("probe", ["noon", "correlated"])
+    def test_lossy_sweep_solves_nothing_above_n_plus_1_and_reads_no_matrix(self, tmp_path, probe):
+        """The 3-mode path: no 4-mode basis, gate or partial trace, no checked MixedState, no
+        dense view, and every eigh at most (N+1) x (N+1), a Gram matrix of rho's factor."""
+        n_total, kappas = 12, [0.0, 0.4, 1.1, 2.5]
+        doc = {"scenario": "lossy-sweep",
+               "params": {"n_total": n_total, "probe": probe, "kappas": kappas}}
         config = validate_config(json.dumps(doc))
         config.output_path = str(tmp_path / "lossy.csv")
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
@@ -263,13 +267,16 @@ class TestScenarios:
                 mock.patch.object(optimize, "rotation_unitary",
                                   wraps=optimize.rotation_unitary) as gate, \
                 mock.patch.object(optimize, "partial_trace",
-                                  wraps=optimize.partial_trace) as trace:
+                                  wraps=optimize.partial_trace) as trace, \
+                mock.patch.object(MixedState, "__init__") as checked, \
+                mock.patch.object(MixedState, "matrix", new_callable=mock.PropertyMock) as rho, \
+                mock.patch.object(HermitianOp, "matrix", new_callable=mock.PropertyMock) as h:
             assert run_scenario(config) == 0
-        assert gate.call_count == trace.call_count == 0
+        assert gate.call_count == trace.call_count == checked.call_count == 0
+        assert rho.call_count == h.call_count == 0
         assert {c.args[0].num_modes for c in rank.call_args_list} == {3}
-        sizes = [c.args[0].shape[0] for c in eigh.call_args_list]
-        sectors = [(s + 1) * (s + 2) // 2 for s in range(n_total + 1)]
-        assert sizes == sectors * len(kappas)
+        sizes = {c.args[0].shape for c in eigh.call_args_list}
+        assert sizes and max(max(shape) for shape in sizes) <= n_total + 1
 
     @pytest.mark.parametrize("params", [
         {},

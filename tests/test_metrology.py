@@ -544,17 +544,18 @@ class TestSectorBlocks:
 
 
 def whole_matrix_qfi(rho, generator, floor=1e-12):
-    """The SLD sum from one eigh of the whole density matrix: qfi_mixed before it ran by sector."""
-    lam, vecs = np.linalg.eigh(rho.matrix)
-    lam = np.clip(lam, 0.0, None)
+    """The support formula from one eigh of the whole density matrix: qfi_mixed before it ran
+    by sector, summed as 2 sum (p_k - p_l)^2 / (p_k + p_l) |H_kl|^2 + 4 sum p_k ||P H|k>||^2."""
+    p, vecs = np.linalg.eigh(rho.matrix)
+    support = p > floor
+    p, vecs = p[support], vecs[:, support]
     h = generator.weights
-    h = vecs.conj().T @ generator.matrix @ vecs if h is None else (vecs.conj().T * h) @ vecs
-    sums = lam[:, None] + lam[None, :]
-    diffs = lam[:, None] - lam[None, :]
-    mask = sums > floor
-    weights = np.zeros_like(sums)
-    weights[mask] = diffs[mask] ** 2 / sums[mask]
-    return 2.0 * float(np.sum(weights * np.abs(h) ** 2))
+    h_vecs = generator.matrix @ vecs if h is None else h[:, None] * vecs
+    hk = vecs.conj().T @ h_vecs
+    off = h_vecs - vecs @ hk
+    sums, diffs = p[:, None] + p[None, :], p[:, None] - p[None, :]
+    total = 2.0 * float(np.sum(diffs**2 / sums * np.abs(hk) ** 2))
+    return total + 4.0 * float(p @ np.real(np.einsum("ij,ij->j", off.conj(), off)))
 
 
 class TestQfiBySector:

@@ -30,9 +30,8 @@ from metrolab import (
     variance,
     weighted_number,
 )
-from metrolab.operators import (
-    _AXIS_TOL, _blocks, _exp_i, _ladder_entries, _spectrum
-)
+from metrolab.fock import _spectrum
+from metrolab.operators import _AXIS_TOL, _blocks, _exp_i, _ladder_entries
 from reference import basis_state, density_matrix, dense_jn, loop_hopping, sector_masses
 
 def total_number(basis):

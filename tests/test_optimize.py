@@ -26,7 +26,7 @@ from metrolab import (
     variance,
     weighted_number,
 )
-from reference import basis_state, density_matrix, purity
+from reference import basis_state, dense_loss_channel, density_matrix, purity
 
 
 def random_profile(rng, length):
@@ -363,6 +363,34 @@ class TestLossChannel:
             expected = n_total**2 * eta_n / (2 * (1 + eta_n))
         qfi = channel_qfi(noon_three_mode(n_total), mode, kappa)
         assert abs(qfi - expected) <= 1e-12 * max(1.0, expected)
+
+    @settings(deadline=None)  # the first example at a new n_total builds its basis
+    @given(st.integers(1, 60), st.integers(0, 2), st.floats(0, math.pi))
+    def test_noon_closed_form_up_to_n_total_60(self, n_total, mode, kappa):
+        """The factor form at every n_total the CLI takes; a dense rho at 60 would be 25 GB."""
+        eta_n = math.cos(kappa / 2) ** (2 * n_total)
+        expected = n_total**2 / 4
+        if mode < 2:
+            expected = n_total**2 * eta_n / (2 * (1 + eta_n))
+        qfi = channel_qfi(noon_three_mode(n_total), mode, kappa)
+        assert abs(qfi - expected) <= 1e-12 * max(1.0, expected)
+
+    def test_one_basis_state_per_sector_keeps_a_qfi_of_exactly_zero(self):
+        """Each branch of |0, 0, 1> is one basis state, an eigenvector of Jz: its frame vector
+        must be exactly that basis vector, so that no roundoff leaves a QFI of 1e-32."""
+        for k in range(9):
+            assert channel_qfi(correlated_uniform(1), 2, k * math.pi / 16) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(three_mode_states(), st.integers(0, 2), st.floats(0, math.pi))
+    def test_matrix_is_the_dense_kraus_sum(self, state, mode, kappa):
+        """The factor's dense view against the outer-product build it replaced."""
+        rho = loss_channel(state, mode, kappa)
+        assert rho._matrix is None  # built on first read only
+        matrix = rho.matrix
+        assert matrix is rho.matrix and not matrix.flags.writeable
+        expected = dense_loss_channel(state, mode, kappa)
+        assert np.max(np.abs(matrix - expected)) <= 1e-15
 
     @given(
         st.integers(1, 16),

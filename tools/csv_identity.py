@@ -50,7 +50,10 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # sweep ran on three modes.  The NOON lossy sweep at n_total 15 with the
 # loss on mode 1 is the largest lossy config that also validates at
 # 438f17d (dim 816, sector blocks up to 136), so the largest blocks of
-# the mixed-state QFI are compared too.  Two runs sit at the argument caps:
+# the mixed-state QFI are compared too.  Both probes also run at the
+# n_total cap, 60 (dim 39711), which only the factor-form rho reaches: a
+# commit before it refuses them by the dimension cap, so they differ from
+# such a REF by their exit status.  Two runs sit at the argument caps:
 # `rotated_fock` at N = 400 and `coherent_cutoff` at alpha = 6.  The
 # cat-vs-noon alphas 1.0, 1.01 and 1.02 all take cutoff 14, so each
 # number operator after the first is one on a basis already seen.
@@ -91,6 +94,14 @@ CONFIGS.update({
     "lossy-sweep-noon-n15-mode1": {
         "scenario": "lossy-sweep",
         "params": {"n_total": 15, "probe": "noon", "probe_mode": 1},
+    },
+    "lossy-sweep-correlated-n60": {
+        "scenario": "lossy-sweep",
+        "params": {"n_total": 60, "probe": "correlated"},
+    },
+    "lossy-sweep-noon-n60-mode1": {
+        "scenario": "lossy-sweep",
+        "params": {"n_total": 60, "probe": "noon", "probe_mode": 1},
     },
     "cv-convergence-n400": {
         "scenario": "cv-convergence",
