@@ -11,9 +11,11 @@ and a direction (beta, phi) selects
 
     J_n = cos(beta) Jz + sin(beta) cos(phi) Jx + sin(beta) sin(phi) Jy.
 
-All of these conserve the pair's total photon number, so they are block
-diagonal over the graded sectors of the basis; unitaries are built by
-exact eigendecomposition sector by sector.
+All of these conserve the pair's total photon number K = ni + nj and
+every other mode's occupation, so they split into blocks of size K + 1,
+one per (spectator configuration, K), and blocks with the same K are the
+same spin-K/2 matrix.  The pair gates are built by one exact
+eigendecomposition per K and applied block by block.
 """
 
 from __future__ import annotations
@@ -163,9 +165,18 @@ class HermitianOp:
 
 
 class UnitaryOp:
-    """A unitary matrix tied to a basis (checked to 1e-10)."""
+    """A unitary tied to a basis, kept dense or as a pair gate's K-blocks.
 
-    __slots__ = ("basis", "matrix", "label")
+    The constructor takes a dense matrix, checks it to 1e-10 and keeps
+    it.  A pair gate (:func:`rotation_unitary`, :func:`spin_squeeze_unitary`)
+    is kept as its (idx, U_K) pairs instead, one per K = ni + nj: idx, of
+    shape (spectator configurations, K + 1), holds the indices of each
+    block, rows ordered by ni, and U_K acts on every row alike.
+    :meth:`apply` reads the stored form; ``matrix``, the dense view of a
+    gate, is built once on first use, cached and read-only.
+    """
+
+    __slots__ = ("basis", "_matrix", "_kblocks", "label")
 
     def __init__(self, basis: FockBasis, matrix, label: str = ""):
         mat = np.array(matrix, dtype=complex)
@@ -175,15 +186,32 @@ class UnitaryOp:
             raise ValueError("operator is not unitary within 1e-10")
         mat.setflags(write=False)
         self.basis = basis
-        self.matrix = mat
+        self._matrix = mat
+        self._kblocks = None
         self.label = label
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:  # each U_K on every spectator configuration's block
+            mat = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
+            for idx, u in self._kblocks:
+                mat[idx[:, :, None], idx[:, None, :]] = u
+            mat.setflags(write=False)
+            self._matrix = mat
+        return self._matrix
 
     def __repr__(self) -> str:
         return f"UnitaryOp({self.label or 'unlabeled'}, basis={self.basis!r})"
 
     def apply(self, state: PureState) -> PureState:
         _check_same_basis(self, state)
-        return PureState(self.basis, self.matrix @ state.amplitudes, normalize=True)
+        if self._kblocks is None:
+            return PureState(self.basis, self.matrix @ state.amplitudes, normalize=True)
+        a = state.amplitudes
+        out = np.empty_like(a)  # the blocks partition the indices
+        for idx, u in self._kblocks:
+            out[idx] = a[idx] @ u.T
+        return PureState(self.basis, out, normalize=True)
 
 
 def _unitarity_residual(mat: np.ndarray) -> float:
@@ -254,34 +282,63 @@ def _exp_i_blocks(spectrum, phase_of):
         yield block, (v * np.exp(1j * phase_of(w))) @ v.conj().T
 
 
-def _exp_i(basis: FockBasis, spectrum, phase_of) -> np.ndarray:
-    """exp(i * phase_of(H)) assembled from H's spectrum, as :func:`_exp_i_blocks` reads it."""
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for block, u in _exp_i_blocks(spectrum, phase_of):
-        out[block, block] = u
-    return out
+def _pair_layout(basis: FockBasis, i: int, j: int) -> list[np.ndarray]:
+    """Per K = 0..N, the indices of the pair's K-blocks: (spectator configurations, K + 1).
+
+    Each state with nj = 0 stands for one (spectator configuration,
+    K = ni) and opens a row: that configuration with ni = 0..K and
+    nj = K - ni.
+    """
+    occ = basis.occupations()
+    heads = occ[occ[:, j] == 0]
+    heads = heads[np.argsort(heads[:, i], kind="stable")]  # by K, then in basis order
+    k = heads[:, i]
+    rows = np.repeat(heads, k + 1, axis=0)
+    ni = np.arange(len(rows)) - np.repeat(np.cumsum(k + 1) - (k + 1), k + 1)  # 0..K along a row
+    rows[:, j] = rows[:, i] - ni
+    rows[:, i] = ni
+    idx = basis.rank(rows)
+    idx.setflags(write=False)
+    ends = np.cumsum(np.bincount(k, minlength=basis.n_total + 1) * np.arange(1, basis.n_total + 2))
+    return [block.reshape(-1, kk + 1) for kk, block in enumerate(np.split(idx, ends[:-1]))]
 
 
-def _pair_spectrum(basis: FockBasis, pair: PairAxis) -> tuple[str, tuple]:
-    """(label, spectrum) of J_n on `pair`, one eigh per sector."""
+def _pair_gate(basis: FockBasis, pair: PairAxis, phase_of) -> tuple[str, tuple]:
+    """(label of J_n, (idx, exp(i * phase_of(J_n)) there) per K), one (K+1)-sized eigh per K.
+
+    The K-blocks of J_n are read on the first row of each K's layout, by
+    one ``_apply`` of :func:`schwinger_j`: column n of `unit` holds a 1
+    at ni = n on every such row with K >= n, so column n of J_n `unit`,
+    on K's row, is column n of J_n's K-block, with the bits of its
+    stored entries.
+    """
     h = schwinger_j(basis, pair)
-    return h.label, h._eigenpairs(basis.sectors())
+    layout = _pair_layout(basis, pair.i, pair.j)
+    unit = np.zeros((basis.dim, basis.n_total + 1), dtype=complex)
+    for idx in layout:
+        unit[idx[0], np.arange(idx.shape[1])] = 1.0
+    columns = h._apply(unit)
+    spectrum = [(idx, *np.linalg.eigh(columns[idx[0], : idx.shape[1]])) for idx in layout]
+    kblocks = tuple(_exp_i_blocks(spectrum, phase_of))
+    for _, u in kblocks:
+        u.setflags(write=False)
+    return h.label, kblocks
 
 
 def rotation_unitary(basis: FockBasis, pair: PairAxis, angle: float) -> UnitaryOp:
-    """exp(i * angle * J_n) computed exactly via eigendecomposition."""
+    """exp(i * angle * J_n) computed exactly via eigendecomposition, kept as its K-blocks."""
     angle = _arg("rotation angle", angle)
-    label, spectrum = _pair_spectrum(basis, pair)
-    mat = _exp_i(basis, spectrum, lambda w: angle * w)
-    return _exact(UnitaryOp, basis=basis, matrix=mat, label=f"exp(i*{angle:.6g}*{label})")
+    label, kblocks = _pair_gate(basis, pair, lambda w: angle * w)
+    return _exact(UnitaryOp, basis=basis, _matrix=None, _kblocks=kblocks,
+                  label=f"exp(i*{angle:.6g}*{label})")
 
 
 def spin_squeeze_unitary(basis: FockBasis, pair: PairAxis, gamma: float) -> UnitaryOp:
-    """exp(i * gamma * J_n^2), the one-axis-twisting gate."""
+    """exp(i * gamma * J_n^2), the one-axis-twisting gate, kept as its K-blocks."""
     gamma = _arg("twisting strength gamma", gamma)
-    label, spectrum = _pair_spectrum(basis, pair)
-    mat = _exp_i(basis, spectrum, lambda w: gamma * w**2)
-    return _exact(UnitaryOp, basis=basis, matrix=mat, label=f"exp(i*{gamma:.6g}*{label}^2)")
+    label, kblocks = _pair_gate(basis, pair, lambda w: gamma * w**2)
+    return _exact(UnitaryOp, basis=basis, _matrix=None, _kblocks=kblocks,
+                  label=f"exp(i*{gamma:.6g}*{label}^2)")
 
 
 def quadrature_p(basis: FockBasis, mode: int) -> HermitianOp:

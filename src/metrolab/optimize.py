@@ -131,10 +131,11 @@ def lossy_probe(state: PureState, probe_mode: int, kappa: float) -> MixedState:
     The input must be a four-mode pure state (modes 0-2 probes, mode 3
     environment).  The coupling is the rotation exp(i kappa J_x) on the
     (probe_mode, 3) pair; kappa = pi transfers the probe mode's photons
-    entirely into the environment.  This is the dense path, through the
-    full four-mode gate.  On a vacuum environment, as
+    entirely into the environment.  On a vacuum environment, as
     :func:`metrolab.states.general_probe` builds, it is
-    :func:`loss_channel`, and serves as its test reference.
+    :func:`loss_channel`, and serves as its test reference: a unitary
+    coupling applied through the gate's K-blocks, then a partial trace,
+    where :func:`loss_channel` writes the Kraus branches in closed form.
     """
     if state.basis.num_modes != 4:
         raise ValueError("lossy_probe expects a four-mode state")

@@ -4,16 +4,17 @@ Nothing here is part of metrolab.  Each function is the plain, dense
 form of a quantity that the library computes another way, or that only
 tests need: a basis vector, a density matrix, a partial trace, sector
 masses, purity, the Uhlmann fidelity of two density matrices, the
-off-axis J_n summed from loop-built ladder matrices and the loss
-channel's density matrix summed from outer products.  Tests import it as
-``reference``.
+off-axis J_n summed from loop-built ladder matrices, the pair gates
+assembled as d x d matrices from a per-sector eigendecomposition and the
+loss channel's density matrix summed from outer products.  Tests import
+it as ``reference``.
 """
 
 import math
 
 import numpy as np
 
-from metrolab import MixedState, PureState, build_basis
+from metrolab import MixedState, PureState, build_basis, schwinger_j
 from metrolab.fock import _from_columns
 
 
@@ -139,3 +140,19 @@ def dense_jn(basis, pair):
     hop = loop_hopping(basis, pair.i, pair.j)
     diag = np.diag(nz * (occ[:, pair.i] - occ[:, pair.j]) / 2.0).astype(complex)
     return diag + (nx / 2.0) * (hop + hop.conj().T) + (ny / 2.0) * 1j * (hop.conj().T - hop)
+
+
+def exp_i(basis, spectrum, phase_of):
+    """exp(i phase_of(H)) as a d x d matrix, assembled block by block from H's spectrum
+    (block, w, v): the dense gate assembly that the library's K-block gates replaced."""
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for block, w, v in spectrum:
+        out[block, block] = (v * np.exp(1j * phase_of(w))) @ v.conj().T
+    return out
+
+
+def reference_gate(basis, pair, phase_of):
+    """exp(i phase_of(J_n)) on `pair` from the dense J_n, one eigh per total-number sector."""
+    h = schwinger_j(basis, pair).matrix
+    return exp_i(basis, [(block, *np.linalg.eigh(h[block, block])) for block in basis.sectors()],
+                 phase_of)

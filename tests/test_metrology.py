@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metrolab import (
@@ -503,6 +503,7 @@ def block_of(matrix, basis):
 class TestSectorBlocks:
     """The CFI layer by total-number sector, against full-matrix references."""
 
+    @settings(deadline=None)
     @given(cfi_cases(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     def test_basis_probabilities_match_element_traces(self, case, seed, kappa0):
         rho, gen, blocky = case
@@ -518,6 +519,7 @@ class TestSectorBlocks:
                 by_sector = _outcome_probs(povm, sectors, [rho_k[b, b] for b in sectors])
                 assert np.max(np.abs(by_sector - expected)) <= 1e-14
 
+    @settings(deadline=None)
     @given(cfi_cases(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     def test_analytic_fisher_matches_dense_reference(self, case, seed, kappa0):
         rho, gen, _ = case
@@ -527,6 +529,7 @@ class TestSectorBlocks:
         fi = fisher_information(rho, gen, povm, kappa0=kappa0, method="analytic")
         assert abs(fi - expected) <= 1e-12 * max(1.0, expected)
 
+    @settings(deadline=None)
     @given(cfi_cases(), st.floats(0.0, 1.0))
     def test_optimal_povm_is_block_diagonal_and_sector_sized(self, case, kappa0):
         rho, gen, blocky = case

@@ -20,6 +20,9 @@ from metrolab import (
     coherent_truncated,
     correlated_three_mode,
     expectation,
+    general_probe,
+    loss_channel,
+    lossy_probe,
     number_op,
     quadrature_p,
     rotated_fock,
@@ -31,8 +34,10 @@ from metrolab import (
     weighted_number,
 )
 from metrolab.fock import _spectrum
-from metrolab.operators import _AXIS_TOL, _blocks, _exp_i, _ladder_entries
-from reference import basis_state, density_matrix, dense_jn, loop_hopping, sector_masses
+from metrolab.operators import _AXIS_TOL, _blocks, _ladder_entries
+from reference import (
+    basis_state, density_matrix, dense_jn, exp_i, loop_hopping, reference_gate, sector_masses,
+)
 
 def total_number(basis):
     return HermitianOp(basis, basis.occupations().sum(axis=1).astype(float))
@@ -375,10 +380,10 @@ class TestSpinSqueeze:
 
 
 def check_exp_i(h, kappa, sector_wise):
-    """_exp_i(H) against scipy's expm(i kappa H), and which blocks it decomposed."""
+    """exp(i kappa H) from H's spectrum against scipy's expm, and which blocks were decomposed."""
     basis = h.basis
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-        u = _exp_i(basis, _spectrum(h.matrix, _blocks(basis, h.matrix)), lambda w: kappa * w)
+        u = exp_i(basis, _spectrum(h.matrix, _blocks(basis, h.matrix)), lambda w: kappa * w)
     sectors = [block.stop - block.start for block in basis.sectors()]
     assert [c.args[0].shape[0] for c in eigh.call_args_list] == (
         sectors if sector_wise else [basis.dim]
@@ -429,15 +434,32 @@ class TestExpI:
         )
 
 
-def reference_gate(basis, pair, phase_of):
-    """exp(i phase_of(J_n)) from a fresh eigh of each sector block of J_n."""
-    h = schwinger_j(basis, pair).matrix
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for s in range(basis.n_total + 1):
-        block = basis.sector_slice(s)
-        w, v = np.linalg.eigh(h[block, block])
-        out[block, block] = (v * np.exp(1j * phase_of(w))) @ v.conj().T
-    return out
+@st.composite
+def gate_cases(draw):
+    """A basis of 2..4 modes with N <= 5, a pair in either order, on the z axis or a random one."""
+    basis = build_basis(draw(st.integers(2, 4)), draw(st.integers(0, 5)))
+    i, j = draw(st.permutations(range(basis.num_modes)))[:2]
+    beta = draw(st.one_of(st.just(0.0), st.floats(0, math.pi)))
+    return basis, PairAxis(i, j, beta=beta, phi=draw(st.floats(0, 2 * math.pi)))
+
+
+def gate_and_reference(basis, pair, angle, squeeze):
+    if squeeze:
+        return spin_squeeze_unitary(basis, pair, angle), reference_gate(
+            basis, pair, lambda w: angle * w**2)
+    return rotation_unitary(basis, pair, angle), reference_gate(basis, pair, lambda w: angle * w)
+
+
+def gate_atol(basis, angle, squeeze):
+    """1e-13 per 2 pi of the gate phase's slope over J_n's spectrum, and at least 1e-13.
+
+    The slope is |angle| for a rotation and up to |angle| N for a twist
+    (d(gamma w^2)/dw at |w| = N/2): an eigenvalue's rounding moves the
+    phase that much.  At N = 5 and |gamma| near 2 pi the gate and the
+    dense per-sector gate differ by up to 1.2e-13.
+    """
+    slope = abs(angle) * (basis.n_total if squeeze else 1)
+    return 1e-13 * max(1.0, slope / (2 * math.pi))
 
 
 class TestPairSpectrum:
@@ -448,18 +470,16 @@ class TestPairSpectrum:
         st.lists(st.tuples(st.booleans(), st.booleans(), angles), min_size=1, max_size=6),
     )
     def test_gates_equal_a_fresh_decomposition(self, case, beta, phi, steps):
-        """Repeated and interleaved angles and pairs give the bits of a per-sector eigh."""
+        """Repeated and interleaved angles and pairs give the same bits, within
+        :func:`gate_atol` of the dense gate from a per-sector eigh."""
         basis, first = case
         pairs = (first, PairAxis(first.j, first.i, beta=beta, phi=phi))
+        seen = {}
         for other, squeeze, angle in steps + steps[::-1]:
-            pair = pairs[other]
-            if squeeze:
-                gate = spin_squeeze_unitary(basis, pair, angle)
-                expected = reference_gate(basis, pair, lambda w: angle * w**2)
-            else:
-                gate = rotation_unitary(basis, pair, angle)
-                expected = reference_gate(basis, pair, lambda w: angle * w)
-            assert np.array_equal(gate.matrix, expected)
+            gate, expected = gate_and_reference(basis, pairs[other], angle, squeeze)
+            assert np.max(np.abs(gate.matrix - expected)) <= gate_atol(basis, angle, squeeze)
+            first_bits = seen.setdefault((other, squeeze, angle), gate.matrix)
+            assert np.array_equal(gate.matrix, first_bits)
 
     def test_gates_run_no_sector_census(self):
         """J_n conserves number by construction, so its gates never test for blocks."""
@@ -469,6 +489,63 @@ class TestPairSpectrum:
             spin_squeeze_unitary(basis, PairAxis(0, 1, beta=0.7), 0.2)
             rotation_unitary(basis, PairAxis(1, 2), 0.2)  # a z-axis pair
         census.assert_not_called()
+
+
+class TestKBlockGates:
+    """Gates kept as (spectator configuration, K) blocks against the dense per-sector gate."""
+
+    @given(gate_cases(), angles, st.booleans(), seeds)
+    def test_apply_and_matrix_match_the_dense_gate(self, case, angle, squeeze, seed):
+        basis, pair = case
+        gate, expected = gate_and_reference(basis, pair, angle, squeeze)
+        state = random_state(basis, seed)
+        atol = gate_atol(basis, angle, squeeze)
+        out = gate.apply(state).amplitudes
+        assert np.max(np.abs(out - expected @ state.amplitudes)) <= atol
+        view = gate.matrix
+        assert np.max(np.abs(view - expected)) <= atol
+        assert gate.matrix is view and not view.flags.writeable
+
+    @given(gate_cases(), angles, st.booleans(), seeds)
+    def test_unoccupied_spectators_stay_exactly_empty(self, case, angle, squeeze, seed):
+        """A gate on (i, j) never moves amplitude between configurations of the other modes."""
+        basis, pair = case
+        gate, _ = gate_and_reference(basis, pair, angle, squeeze)
+        occ = basis.occupations()
+        _, spectator = np.unique(np.delete(occ, [pair.i, pair.j], axis=1), axis=0,
+                                 return_inverse=True)
+        spectator = spectator.ravel()
+        rng = np.random.default_rng(seed)
+        occupied = rng.random(spectator.max() + 1) < 0.5
+        occupied[rng.integers(len(occupied))] = True
+        amp = np.where(occupied[spectator], rng.standard_normal(basis.dim) + 1j, 0)
+        out = gate.apply(PureState(basis, amp, normalize=True)).amplitudes
+        assert np.all(out[~occupied[spectator]] == 0)
+        assert np.all(gate.matrix[spectator[:, None] != spectator[None, :]] == 0)
+
+    def test_lossy_probe_on_a_basis_too_large_for_a_dense_gate(self):
+        n_total, kappa = 14, 0.9
+        basis = build_basis(4, n_total)
+        assert basis.dim == 3060
+        rng = np.random.default_rng(14)
+        n1, n2 = np.meshgrid(np.arange(n_total + 1), np.arange(n_total + 1), indexing="ij")
+        inside = n1 + n2 <= n_total
+        c = (rng.standard_normal(n1.shape) + 1j * rng.standard_normal(n1.shape)) * inside
+        c /= np.linalg.norm(c)
+        basis.occupations()
+        tracemalloc.start()
+        try:
+            rho = lossy_probe(general_probe(c, n_total), 0, kappa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_bytes = basis.dim**2 * np.dtype(complex).itemsize
+        assert peak < dense_bytes, (peak, dense_bytes)
+        probe_basis = build_basis(3, n_total)  # the same probe without the environment mode
+        amp = np.zeros(probe_basis.dim, dtype=complex)
+        amp[probe_basis.rank(np.stack([n1, n2, n_total - n1 - n2], axis=-1)[inside])] = c[inside]
+        expected = loss_channel(PureState(probe_basis, amp), 0, kappa)
+        np.testing.assert_allclose(rho.matrix, expected.matrix, rtol=0, atol=1e-12)
 
 
 class TestQuadrature:
