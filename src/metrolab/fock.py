@@ -8,9 +8,10 @@ sector is therefore the contiguous tail block of the index range, and
 number-conserving operators are block diagonal in this ordering.
 
 Everything is immutable after construction, but a mixed state keeps its
-eigenpairs once found.  A mixed state is a dense matrix, or the factor of
-a sum of pure branches, which never builds a dense matrix unless read.
-Matrix eigendecompositions stay practical up to dimension ~4096.
+eigenpairs once found.  Every state the library builds is a factor,
+rho = V V† (V = psi for a pure state), with no dense matrix unless read;
+the dense storage serves a caller's matrix, whose eigendecompositions
+stay practical up to dimension ~4096.
 """
 
 from __future__ import annotations
@@ -219,19 +220,17 @@ class PureState:
         return f"PureState(basis={self.basis!r})"
 
     def _factors(self, blocks=None) -> tuple:
-        """(block, psi there) per block of the coarser of `blocks` and rho's (rho = psi psi†).
-
-        With no `blocks`, or with psi on several sectors (rho keeps their
-        coherences), it is one whole block, and psi stays 1-D.
-        """
+        """(block, psi there) per block of `blocks`; one whole block, psi 1-D, with no `blocks`
+        or with psi on several sectors (rho = psi psi† keeps their coherences)."""
         if blocks is None or sum(np.any(self.amplitudes[b]) for b in self.basis.sectors()) > 1:
             return ((slice(None), self.amplitudes),)
         return tuple((block, self.amplitudes[block]) for block in blocks)
 
     def _eigenpairs(self, blocks) -> tuple:
-        """(block, p, vecs) per block of the coarser of `blocks` and rho's, one eigh each."""
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return _spectrum(rho, min(_blocks(self.basis, rho), blocks, key=len))
+        """(block, p, vecs) per block of the coarser of `blocks` and rho's, psi its one column."""
+        occupied = np.flatnonzero(self.amplitudes)
+        psi = _from_columns(self.basis, [(occupied, self.amplitudes[occupied])])
+        return psi._eigenpairs(blocks)
 
     def expand_cutoff(self, n_total: int) -> "PureState":
         """Same state re-indexed on a basis with a larger cutoff."""
@@ -245,12 +244,12 @@ class PureState:
 class MixedState:
     """Hermitian, unit-trace, PSD density matrix over a :class:`FockBasis`, in one of two storages.
 
-    The constructor takes a dense matrix, checks it and keeps it.  A sum
-    of pure branches, as :func:`metrolab.loss_channel` gives, is kept as
-    its factor instead: per block, the support rows and V with rho = V V†
-    there, one column per branch (see :func:`_from_columns`).  Consumers
-    call :meth:`_factors` and :meth:`_eigenpairs`; ``matrix``, the dense
-    view, is built once on first use, cached and read-only.
+    The constructor takes a dense matrix, checks it and keeps it.  A sum of
+    pure branches, as :func:`metrolab.loss_channel` and :func:`partial_trace`
+    give, is kept as its factor instead: per block, the support rows and V
+    with rho = V V† there, one column per branch (:func:`_from_columns`).
+    Consumers call :meth:`_factors` and :meth:`_eigenpairs`; ``matrix``, the
+    dense view, is built once on first use, cached and read-only.
     """
 
     __slots__ = ("basis", "_matrix", "_factor", "_eig")
@@ -308,9 +307,9 @@ class MixedState:
 
         A dense rho finds its own blocks (:func:`_blocks`) and runs one eigh
         per block.  A factor runs one eigh of the r x r Gram matrix V†V per
-        block, (p, u), and keeps the p above its roundoff, r eps max(p), so
-        that each vecs = V u / sqrt(p), on the block's rows, is a unit vector
-        orthogonal to the others: a thin frame of rho's support.
+        block, (p, u), and keeps the p above the roundoff of tr rho = 1,
+        r eps, so that each vecs = V u / sqrt(p), on the block's rows, is a
+        unit vector orthogonal to the others: a thin frame of rho's support.
         """
         whole = len(blocks) < len(self.basis.sectors())  # for an operator that mixes sectors
         if whole not in self._eig:
@@ -321,7 +320,7 @@ class MixedState:
                 pairs = []
                 for block, rows, v in self._stored(blocks):
                     p, u = np.linalg.eigh(v.conj().T @ v) if v.size else (np.zeros(0), v)
-                    live = p > len(p) * np.finfo(float).eps * p.max(initial=0.0)
+                    live = p > len(p) * np.finfo(float).eps
                     p, vu = p[live], v @ u[:, live]
                     # each part divided on its own: a complex division would round twice
                     vecs = vu.real / np.sqrt(p) + 1j * (vu.imag / np.sqrt(p))
@@ -330,11 +329,8 @@ class MixedState:
         return self._eig[whole]
 
     def _factors(self, blocks=None) -> tuple:
-        """(block, V) per block, rho = V V† there: the stored factor, or vecs sqrt(p > 0).
-
-        A factor gives its own blocks, merged into one whole block for
-        coarser `blocks`; a dense rho gives its :meth:`_eigenpairs` blocks.
-        """
+        """(block, V) per block, rho = V V† there: the stored factor, on its own blocks merged
+        into one for coarser `blocks`, or a dense rho's :meth:`_eigenpairs` vecs sqrt(p > 0)."""
         blocks = blocks or self.basis.sectors()
         if self._factor is None:
             pairs = self._eigenpairs(blocks)
@@ -368,15 +364,16 @@ def _from_columns(basis: FockBasis, columns) -> MixedState:
     The blocks are the sectors when every column lies in one sector, and
     otherwise one whole block, as for :meth:`PureState._factors`.  Each
     block keeps its sorted support rows and V there, one column per input
-    column in the block.  Every column must have at least one index.
+    column, or R† of V† = QR (V V† = R† R) if it has fewer rows than that.
+    Every column must have at least one index.
     """
     sectors = basis.sectors()
     starts = [block.start for block in sectors]
     # sectors are contiguous, so a column's first and last index bound the sectors it meets
-    ends = [np.searchsorted(starts, [idx.min(), idx.max()], side="right") - 1 for idx, _ in columns]
-    if all(first == last for first, last in ends):
+    ends = np.searchsorted(starts, [(idx.min(), idx.max()) for idx, _ in columns], side="right") - 1
+    if np.all(ends[:, 0] == ends[:, 1]):
         groups = [[] for _ in sectors]
-        for column, (home, _) in zip(columns, ends):
+        for column, home in zip(columns, ends[:, 0]):
             groups[home].append(column)
         blocks = list(zip(sectors, groups))
     else:
@@ -387,6 +384,8 @@ def _from_columns(basis: FockBasis, columns) -> MixedState:
         v = np.zeros((len(rows), len(cols)), dtype=complex)
         for c, (idx, values) in enumerate(cols):
             v[np.searchsorted(rows, idx), c] = values
+        if v.shape[1] > v.shape[0]:
+            v = np.linalg.qr(v.conj().T, mode="r").conj().T
         rows.setflags(write=False)
         v.setflags(write=False)
         factor.append((block, rows, v))
@@ -435,12 +434,11 @@ def fidelity(a: PureState, b: PureState) -> float:
 
 
 def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
-    """Reduced state on the modes listed in `keep` (ascending original order).
+    """Reduced state on the modes in `keep` (ascending original order), kept as a factor.
 
-    The reduced basis keeps the original cutoff, so the output lives on
-    ``FockBasis(len(keep), n_total)``.  Each factor V of rho = sum V V†
-    adds V V† over the rows that share one configuration of the traced modes.
-    Trace and hermiticity are preserved exactly up to roundoff.
+    It lives on ``FockBasis(len(keep), n_total)``, the original cutoff.
+    Each column of a factor of rho, on the rows that share one traced-mode
+    configuration, is one column of the reduced factor (:func:`_from_columns`).
     """
     basis = state.basis
     keep = sorted(set(_arg("keep mode", k, 0, basis.num_modes - 1, kind=int) for k in keep))
@@ -455,12 +453,13 @@ def partial_trace(state: State, keep: Iterable[int]) -> MixedState:
     traced_key = (build_basis(len(traced), basis.n_total).rank(occ[:, traced]) if traced
                   else np.zeros(basis.dim, dtype=np.int64))
 
-    out = np.zeros((reduced.dim, reduced.dim), dtype=complex)
+    columns = []
     for block, v in state._factors():
         rows = np.arange(basis.dim)[block]
-        live = np.any(v.reshape(len(rows), -1) != 0, axis=1)  # zero rows add nothing
-        for key in np.unique(traced_key[rows[live]]):
-            hit = live & (traced_key[rows] == key)
-            out[np.ix_(kept_rank[rows[hit]], kept_rank[rows[hit]])] += _gram(v[hit])
-    out = (out + out.conj().T) / 2
-    return _exact(MixedState, basis=reduced, _matrix=out, _factor=None, _eig={})
+        v = v.reshape(len(rows), -1)
+        for col in v.T[np.any(v != 0, axis=0)]:  # a zero column or entry adds nothing
+            live = np.flatnonzero(col)
+            order = live[np.argsort(traced_key[rows[live]], kind="stable")]  # grouped by key
+            cuts = np.flatnonzero(np.diff(traced_key[rows[order]])) + 1
+            columns += zip(np.split(kept_rank[rows[order]], cuts), np.split(col[order], cuts))
+    return _from_columns(reduced, columns)

@@ -87,8 +87,9 @@ def test_the_measure_chain_runs_and_passes_its_gate():
 
 
 def test_a_measure_block_decomposes_each_sector_four_times():
-    """One eigh per sector of the gate's J_x, of rho, of J_n and of the SLD: fisher_information
-    reads the J_n spectrum that optimal_povm kept on the generator."""
+    """One eigh per K-block of the gate's J_x, and per sector of rho (a 1x1 Gram: one column
+    per sector), of J_n and of the SLD: fisher_information reads the J_n spectrum that
+    optimal_povm kept on the generator."""
     workloads = load_perfbench("workloads")
     block = workloads.make_blocks("measure", 0, 1)[0]
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:

